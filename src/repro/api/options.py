@@ -92,19 +92,12 @@ class SweepOptions:
         Failure action (one of :data:`repro.core.resilience.FAILURE_ACTIONS`:
         ``retry``, ``split-and-retry``, ``serial-fallback``, ``fail``).
         ``None`` keeps the engine default (``retry``).
-    shared_memory:
-        Whether sharded sweeps pass the stimulus through a shared-memory
-        segment instead of pickling it into every shard (see
-        :mod:`repro.core.shm`).  ``None`` inherits the session default,
-        which in turn follows the ``REPRO_SHM`` environment variable.
-        Results are byte-identical either way.
     """
 
     jobs: int = 1
     shard_timeout: float | None = None
     max_retries: int | None = None
     on_worker_failure: str | None = None
-    shared_memory: bool | None = None
 
     def __post_init__(self) -> None:
         if self.jobs < 1:

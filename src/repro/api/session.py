@@ -189,7 +189,6 @@ class _SweepRequest:
     keep_latched: bool
     jobs: int
     policy: ExecutionPolicy | None = None
-    shared_memory: bool | None = None
 
 
 class _MergedSweep:
@@ -207,7 +206,6 @@ class _MergedSweep:
         self.triads: dict[str, tuple[OperatingTriad, bool]] = {}  # key -> (triad, keep)
         self.jobs = 1
         self.policy: ExecutionPolicy | None = None
-        self.shared_memory: bool | None = None
 
 
 class Session:
@@ -244,12 +242,6 @@ class Session:
         for sweep-running jobs that do not override it through their
         :class:`~repro.api.options.SweepOptions`; ``None`` keeps the engine
         default (retry twice, no shard timeout).
-    shared_memory:
-        Default stimulus transport of sharded sweeps for jobs that do not
-        override it through their SweepOptions: ``True``/``False`` force
-        shared memory on/off, ``None`` (the default) follows the
-        ``REPRO_SHM`` environment variable (see :mod:`repro.core.shm`).
-        Results are byte-identical either way.
     trace:
         Path of a JSONL trace file (see :mod:`repro.obs.trace`): every
         :meth:`run`/:meth:`run_batch` call records a hierarchical span tree
@@ -267,7 +259,6 @@ class Session:
         jobs: int = 1,
         sta_margin: float = 1.5,
         policy: ExecutionPolicy | None = None,
-        shared_memory: bool | None = None,
         trace: str | pathlib.Path | None = None,
     ) -> None:
         if jobs < 1:
@@ -276,7 +267,6 @@ class Session:
         self._default_jobs = jobs
         self._sta_margin = sta_margin
         self._policy = policy
-        self._shared_memory = shared_memory
         self._tracer = Tracer(str(trace)) if trace is not None else None
         if store == DEFAULT_STORE:
             backing: SweepResultStore | None = SweepResultStore.default()
@@ -299,7 +289,6 @@ class Session:
         library: StandardCellLibrary = DEFAULT_LIBRARY,
         sta_margin: float = 1.5,
         policy: ExecutionPolicy | None = None,
-        shared_memory: bool | None = None,
         trace: str | pathlib.Path | None = None,
     ) -> "Session":
         """Build a session from the shared :class:`StoreOptions` vocabulary."""
@@ -310,7 +299,6 @@ class Session:
             jobs=jobs,
             sta_margin=sta_margin,
             policy=policy,
-            shared_memory=shared_memory,
             trace=trace,
         )
 
@@ -366,13 +354,6 @@ class Session:
         sweep = getattr(job, "sweep", None)
         override = sweep.policy() if sweep is not None else None
         return override if override is not None else self._policy
-
-    def _shm_for(self, job: Any) -> bool | None:
-        """The job's stimulus-transport choice: its SweepOptions override,
-        else the session default (``None`` defers to ``REPRO_SHM``)."""
-        sweep = getattr(job, "sweep", None)
-        override = sweep.shared_memory if sweep is not None else None
-        return override if override is not None else self._shared_memory
 
     def _require_store(self) -> SweepResultStore:
         store = self._view.backing
@@ -454,7 +435,6 @@ class Session:
             store=self._view,
             policy=self._policy_for(job),
             report=report,
-            shm=self._shm_for(job),
         )
         if job.output:
             save_characterization(characterization, job.output)
@@ -513,7 +493,6 @@ class Session:
                     store=self._view,
                     policy=self._policy_for(job),
                     report=report,
-                    shm=self._shm_for(job),
                 )
             characterizations[characterization.adder_name] = characterization
         summaries = {
@@ -539,7 +518,6 @@ class Session:
             flow=self.flow_for(spec),
             policy=self._policy_for(job),
             report=report,
-            shm=self._shm_for(job),
         )
         return Fig5Result(
             operator=spec.name,
@@ -560,7 +538,6 @@ class Session:
             store=self._view,
             policy=self._policy_for(job),
             report=report,
-            shm=self._shm_for(job),
         )
         entry = characterization.results[0]
         measurement = characterization.measurement_for(triad)
@@ -625,7 +602,6 @@ class Session:
             ),
             policy=self._policy_for(job),
             report=report,
-            shm=self._shm_for(job),
         )
         result = run_search(
             space,
@@ -714,7 +690,6 @@ class Session:
             store=self._view,
             policy=self._policy_for(job),
             report=report,
-            shm=self._shm_for(job),
         )
         return MonteCarloResult(
             operator=flow.adder.name,
@@ -740,7 +715,6 @@ class Session:
             store=self._view,
             policy=self._policy_for(job),
             report=report,
-            shm=self._shm_for(job),
         )
         return FaultSweepResult(
             operator=circuit.name,
@@ -828,7 +802,6 @@ class Session:
         """
         worker_count = self._jobs_for(job)
         job_policy = self._policy_for(job)
-        job_shm = self._shm_for(job)
         if isinstance(job, CharacterizeJob):
             spec = job.spec
             flow = self.flow_for(spec)
@@ -840,7 +813,6 @@ class Session:
                     keep_latched=job.keep_measurements,
                     jobs=worker_count,
                     policy=job_policy,
-                    shared_memory=job_shm,
                 )
             ]
         if isinstance(job, Fig5Job):
@@ -863,7 +835,6 @@ class Session:
                     keep_latched=False,
                     jobs=worker_count,
                     policy=job_policy,
-                    shared_memory=job_shm,
                 )
             ]
         if isinstance(job, Table4Job):
@@ -889,7 +860,6 @@ class Session:
                         keep_latched=False,
                         jobs=worker_count,
                         policy=job_policy,
-                        shared_memory=job_shm,
                     )
                 )
             return requests
@@ -903,7 +873,6 @@ class Session:
                     keep_latched=True,
                     jobs=worker_count,
                     policy=job_policy,
-                    shared_memory=job_shm,
                 )
             ]
         return []
@@ -943,8 +912,6 @@ class Session:
                 group.jobs = max(group.jobs, request.jobs)
                 if group.policy is None:
                     group.policy = request.policy
-                if group.shared_memory is None:
-                    group.shared_memory = request.shared_memory
                 for triad in request.triads:
                     planned += 1
                     key = sweep_module.characterization_entry_key(base, triad)
@@ -986,7 +953,6 @@ class Session:
                     testbench=flow.testbench,
                     policy=group.policy,
                     report=report,
-                    shm=group.shared_memory,
                 )
         return planned, deduped, cache_hits
 

@@ -549,12 +549,6 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         help="recovery action for crashed / timed-out / corrupt shards "
         "(default: retry)",
     )
-    parser.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="pickle the stimulus into every shard instead of passing it "
-        "through shared memory (results are byte-identical either way)",
-    )
     _add_store_dir_argument(parser)
     parser.add_argument(
         "--no-cache",
@@ -618,7 +612,6 @@ def _session(args: argparse.Namespace) -> Session:
             options,
             jobs=getattr(args, "jobs", 1),
             policy=sweep.policy(),
-            shared_memory=sweep.shared_memory,
             trace=getattr(args, "trace", None),
         )
     )
@@ -631,7 +624,6 @@ def _sweep_options(args: argparse.Namespace) -> SweepOptions:
             shard_timeout=getattr(args, "shard_timeout", None),
             max_retries=getattr(args, "max_retries", None),
             on_worker_failure=getattr(args, "on_worker_failure", None),
-            shared_memory=False if getattr(args, "no_shm", False) else None,
         )
     )
 

@@ -282,7 +282,6 @@ class CharacterizationFlow:
         policy: ExecutionPolicy | None = None,
         chaos: ChaosPlan | None = None,
         report: ExecutionReport | None = None,
-        shm: bool | None = None,
     ) -> AdderCharacterization:
         """Characterize the adder over a triad grid.
 
@@ -326,11 +325,6 @@ class CharacterizationFlow:
         report:
             Optional :class:`~repro.core.resilience.ExecutionReport` the
             sweep's recovery accounting is accumulated into.
-        shm:
-            Whether sharded sweeps pass the stimulus through shared memory
-            (see :mod:`repro.core.shm`).  ``None`` (the default) follows
-            the ``REPRO_SHM`` environment variable; results are
-            byte-identical either way.
         """
         grid = self._resolve_grid(triads)
         if operands is not None:
@@ -376,7 +370,6 @@ class CharacterizationFlow:
                 policy=policy,
                 chaos=chaos,
                 report=report,
-                shm=shm,
             )
 
         results = [entry_from_payload(payload) for payload in payloads]

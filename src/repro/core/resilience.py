@@ -1,4 +1,4 @@
-"""Fault-tolerant shard execution for the sweep orchestrators.
+"""Fault-tolerant shard execution for the sweep executor.
 
 The PR-2 sharding layer (:mod:`repro.core.sweep`) made triad grids scale
 across worker processes, but a single worker crash (OOM kill, wedged fork)
@@ -25,11 +25,15 @@ misbehaves.
   the output is byte-identical to a fault-free serial run regardless of
   which faults fired, how shards were split, or what order workers finished.
 
-Progress is crash-consistent through the ``on_result`` hook: the caller
-flushes each completed shard's payloads to the
+Its one caller in the sweep layer is :func:`repro.core.sweep.execute_sweep`,
+which runs every sweep kind (characterization, fault campaigns, Monte
+Carlo) and is the only place shards are built.  Progress is
+crash-consistent through the ``on_result`` hook: the executor flushes each
+completed shard's payloads to the
 :class:`~repro.core.store.SweepResultStore` the moment the shard finishes,
 parent-side, so a run killed mid-flight resumes warm.  Workers never touch
-the store.
+the store, and shard tasks carry their stimulus inline (pickled), so a run
+leaves no resource behind for anyone to release.
 
 Fault injection for tests rides in through the ``chaos`` argument
 (:class:`~repro.testing.chaos.ChaosPlan`): rules are applied inside the
@@ -300,15 +304,28 @@ def _init_worker() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
+#: Upper bound on waiting for a destroyed pool's manager thread; it exits
+#: within milliseconds of its workers dying, so this only caps a wedge.
+_MANAGER_JOIN_TIMEOUT_S = 10.0
+
+
 def _destroy_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a broken or hung pool down without waiting on its workers.
 
     ``shutdown`` alone never kills a wedged worker -- a shard sleeping past
     its timeout would keep its process alive indefinitely -- so the workers
-    are terminated explicitly.  Reaching into ``_processes`` is unavoidable:
-    the executor API offers no kill switch.
+    are terminated explicitly.  Reaching into ``_processes`` (and the
+    manager thread below) is unavoidable: the executor API offers no kill
+    switch, and ``shutdown`` drops both references.
+
+    The executor's manager thread then notices the dead workers and closes
+    its wakeup pipe.  It is joined (bounded) before returning: the
+    interpreter-exit hook of :mod:`concurrent.futures` writes to that same
+    pipe without a lock, so a process exiting right after an interrupt
+    would otherwise race the close and print an ``EBADF`` traceback.
     """
     processes = dict(getattr(pool, "_processes", None) or {})
+    manager = getattr(pool, "_executor_manager_thread", None)
     pool.shutdown(wait=False, cancel_futures=True)
     for process in processes.values():
         try:
@@ -317,6 +334,8 @@ def _destroy_pool(pool: ProcessPoolExecutor) -> None:
             # Already-dead processes are the common cause; count the rest so
             # a pattern of unkillable workers shows up in the metrics dump.
             metrics.REGISTRY.counter("resilience.cleanup_errors").add()
+    if manager is not None:
+        manager.join(timeout=_MANAGER_JOIN_TIMEOUT_S)
 
 
 def run_shards(
@@ -331,7 +350,6 @@ def run_shards(
     on_result: Callable[[Any, list[Any]], None] | None = None,
     chaos: "chaos_hooks.ChaosPlan | None" = None,
     report: ExecutionReport | None = None,
-    cleanup: Callable[[], None] | None = None,
 ) -> list[list[Any]]:
     """Execute shard tasks fault-tolerantly; return per-task unit lists.
 
@@ -372,14 +390,6 @@ def run_shards(
     report:
         Optional report to accumulate into (a fresh one is used otherwise);
         counters are added, so one report can span several runs.
-    cleanup:
-        Called exactly once when the run is over -- success, failure, or
-        interrupt -- after the pool is gone and the serial fallback has
-        finished, i.e. after the last point where a worker or this process
-        could still be using run-scoped resources.  The sweep orchestrators
-        release their shared-memory stimulus segment here
-        (:meth:`~repro.core.shm.SharedArrayBundle.unlink`).  Exceptions it
-        raises are swallowed: cleanup must never mask the run's outcome.
 
     Returns
     -------
@@ -396,33 +406,23 @@ def run_shards(
         shards completed before the interrupt have already been delivered
         through ``on_result``.
     """
-    try:
-        with span(
-            "dispatch",
-            shards=len(tasks),
-            workers=max_workers if max_workers is not None else len(tasks),
-        ):
-            return _run_shards(
-                tasks,
-                worker,
-                policy=policy,
-                max_workers=max_workers,
-                units=units,
-                split=split,
-                validate=validate,
-                on_result=on_result,
-                chaos=chaos,
-                report=report,
-            )
-    finally:
-        if cleanup is not None:
-            try:
-                cleanup()
-            except Exception:
-                # The run's results are already merged; a cleanup failure
-                # (e.g. shm unlink) must not destroy them, but it leaks a
-                # resource, so it is counted rather than silently dropped.
-                metrics.REGISTRY.counter("resilience.cleanup_errors").add()
+    with span(
+        "dispatch",
+        shards=len(tasks),
+        workers=max_workers if max_workers is not None else len(tasks),
+    ):
+        return _run_shards(
+            tasks,
+            worker,
+            policy=policy,
+            max_workers=max_workers,
+            units=units,
+            split=split,
+            validate=validate,
+            on_result=on_result,
+            chaos=chaos,
+            report=report,
+        )
 
 
 def _run_shards(
@@ -438,7 +438,7 @@ def _run_shards(
     chaos: "chaos_hooks.ChaosPlan | None",
     report: ExecutionReport | None,
 ) -> list[list[Any]]:
-    """Engine body of :func:`run_shards`; cleanup is the wrapper's job."""
+    """Engine body of :func:`run_shards` (the wrapper owns the span)."""
     tasks = list(tasks)
     if policy is None:
         policy = DEFAULT_POLICY

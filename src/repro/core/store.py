@@ -87,11 +87,6 @@ STORE_VERSION = 2
 #: Environment variable selecting the default store location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Environment variable that, when set to ``0``/``off``/``false``, disables
-#: shared-memory stimulus transport in the sweep orchestrators (documented
-#: here with the other store/cache knobs; consumed by :mod:`repro.core.shm`).
-SHM_ENV = "REPRO_SHM"
-
 #: Subdirectory holding the pack segments and their indexes.
 PACKS_DIR = "packs"
 
@@ -1523,6 +1518,3 @@ class MemoryOverlayStore:
         self._remember(key, dict(payload))
         if self._backing is not None:
             self._backing.put(key, payload)
-
-    def __len__(self) -> int:
-        return len(self._memory)

@@ -1,45 +1,48 @@
 """Sharded, cache-backed sweep orchestration.
 
 The paper's core experiment (the Fig. 4 flow feeding Fig. 5/8 and Tables
-III-IV) is a grid sweep of operating triads per operator.  PR 1 made one
-triad cheap; this module makes the *grid* scale:
+III-IV) is a grid sweep of operating triads per operator; this module
+makes the *grid* scale.  Every sweep kind --
+triad characterization (:func:`run_characterization_sweep`), stuck-at fault
+campaigns (:func:`run_fault_sweep`) and the Monte Carlo variation sweeps of
+:mod:`repro.variation.montecarlo` -- is a :class:`SweepPlan` run by the one
+executor :func:`execute_sweep`:
 
-* **Sharding.**  A triad grid is split into shards along ``(vdd, vbb)``
-  groups -- the axis the simulator's sweep-level reuse is keyed on -- so
-  each worker pays the per-operating-point arrival computation exactly once
-  for its shard.  Shard assignment is deterministic (greedy balance over
-  sorted groups) and the merge is by grid order, so results are bit-identical
-  to a serial sweep regardless of worker count or completion order.
-* **Worker processes.**  Shards execute on a ``ProcessPoolExecutor``
-  (``jobs`` workers).  Workers rebuild the circuit from its generator name;
-  the parent verifies the rebuilt netlist fingerprint matches before
-  dispatching, and falls back to in-process execution for circuits the
-  registry cannot reproduce.  The operand streams travel through one
-  shared-memory segment (:mod:`repro.core.shm`) rather than being pickled
-  into every shard, with a transparent inline fallback (``REPRO_SHM=0``).
-* **Result store.**  Each triad's summary is a pure function of (circuit,
-  stimulus, triad, library, engine version); completed entries are persisted
-  in a content-addressed :class:`~repro.core.store.SweepResultStore`, so
-  repeated sweeps -- across CLI runs, benchmark sessions and CI jobs -- skip
-  the timing simulation entirely.
+* **Plan.**  A plan lists the store key of every output unit, says which
+  cached payloads are usable, groups the units left to simulate into work
+  items (one ``(vdd, vbb)`` group, one fault block, one sample range) and
+  those into worker shards, and carries a picklable *kernel* that
+  simulates a list of units.
+* **Sharding.**  Triad grids shard along ``(vdd, vbb)`` groups -- the axis
+  the simulator's sweep-level reuse is keyed on -- so each worker pays the
+  per-operating-point arrival computation exactly once.  Assignment is
+  deterministic and the merge is by unit order, so results are
+  bit-identical to a serial sweep regardless of worker count or completion
+  order.
+* **Worker processes.**  Shards execute on the fault-tolerant shard engine
+  (:func:`repro.core.resilience.run_shards`).  Workers rebuild the circuit
+  from its generator name; the parent verifies the rebuilt netlist
+  fingerprint matches before dispatching, and falls back to in-process
+  execution for circuits the registry cannot reproduce.
+* **Result store.**  Each unit's summary is a pure function of (circuit,
+  stimulus, unit, library, engine version); completed entries are persisted
+  in a content-addressed :class:`~repro.core.store.SweepResultStore` after
+  every work item or shard, so repeated or interrupted sweeps -- across CLI
+  runs, benchmark sessions and CI jobs -- skip the finished simulation.
 
 Everything travels as JSON-serialisable *payload* dicts (exact float / int64
 round-trips), whether a result comes from this process, a worker, or the
 on-disk store; the conversion back to :class:`TriadCharacterization` /
 :class:`TriadMeasurement` is therefore identical on every path.
-
-The same machinery shards the structural fault campaigns of
-:mod:`repro.simulation.fault_injection` (fault sites instead of triads, see
-:func:`run_fault_sweep`), and multiplier grids run through the identical
-entry points because :class:`MultiplierTestbench` shares the testbench
-interface.
+Multiplier grids run through the identical entry points because
+:class:`MultiplierTestbench` shares the testbench interface.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -54,7 +57,6 @@ from repro.circuits.multipliers import MultiplierCircuit, array_multiplier
 from repro.circuits.signals import int_to_bits
 from repro.core.metrics import mean_squared_error
 from repro.core.resilience import ExecutionPolicy, ExecutionReport, run_shards
-from repro.core.shm import SharedArrayRef, share_arrays
 from repro.core.store import (
     SweepResultStore,
     decode_int64_array,
@@ -334,13 +336,34 @@ def payload_usable(
     return True
 
 
-#: Backwards-compatible alias of :func:`payload_usable`.
-_payload_usable = payload_usable
-
-
 # ---------------------------------------------------------------------------
 # Sharding
 # ---------------------------------------------------------------------------
+
+
+def _group_by(units: Sequence[Any], point: Callable[[Any], Any]) -> list[list[Any]]:
+    """Group ``units`` by ``point(unit)``, keeping first-seen group order."""
+    groups: dict[Any, list[Any]] = {}
+    for unit in units:
+        groups.setdefault(point(unit), []).append(unit)
+    return list(groups.values())
+
+
+def _balance(
+    groups: list[list[Any]], n_shards: int, point: Callable[[Any], Any]
+) -> list[list[Any]]:
+    """Greedy balance: groups (largest first) go to the lightest shard."""
+    shards: list[list[Any]] = [[] for _ in range(min(n_shards, len(groups)))]
+    loads = [0] * len(shards)
+    for group in sorted(groups, key=lambda group: (-len(group), point(group[0]))):
+        lightest = loads.index(min(loads))
+        shards[lightest].extend(group)
+        loads[lightest] += len(group)
+    return [shard for shard in shards if shard]
+
+
+def _operating_point(triad: OperatingTriad) -> tuple[float, float]:
+    return (triad.vdd, triad.vbb)
 
 
 def shard_triads(
@@ -356,83 +379,263 @@ def shard_triads(
     """
     if n_shards <= 0:
         raise ValueError("n_shards must be positive")
-    groups: dict[tuple[float, float], list[OperatingTriad]] = {}
-    for triad in triads:
-        groups.setdefault((triad.vdd, triad.vbb), []).append(triad)
-    ordered = sorted(
-        groups.items(), key=lambda item: (-len(item[1]), item[0][0], item[0][1])
+    groups = _group_by(triads, _operating_point)
+    return _balance(groups, n_shards, _operating_point)
+
+
+# ---------------------------------------------------------------------------
+# The sweep executor
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class SweepPlan:
+    """One sweep, described as data for :func:`execute_sweep`.
+
+    A sweep computes one payload per *output unit* (a triad, a fault site,
+    a (sample range, triad) pair).  The plan says how units are keyed,
+    which cached payloads serve them, and how the ones left to simulate are
+    grouped; the executor does everything else identically for every kind.
+
+    Attributes
+    ----------
+    circuit, fingerprint:
+        The circuit under test and its netlist fingerprint (the rebuild a
+        worker would use is verified against it before dispatch).
+    kernel:
+        Picklable simulation recipe.  ``kernel.start(circuit)`` sets the
+        simulator up once and returns ``run(units) -> payloads``;
+        ``kernel.kind`` names the sweep in spans and ``kernel.version`` is
+        the payload version a shard result must carry.
+    keys:
+        Store key of each output unit, in output order.
+    usable:
+        ``usable(unit, payload)``: whether a cached payload (or ``None``)
+        satisfies the unit.
+    work_items:
+        ``work_items(missing)``: the unit lists to simulate, grouped into
+        the in-process work items (the store flushes after each).
+    shards:
+        ``shards(work_items, jobs)``: the unit lists of the worker shards.
+    start:
+        In-process runner factory; ``None`` means ``kernel.start(circuit)``.
+    splittable:
+        Whether ``split-and-retry`` may halve a failed shard.
+    """
+
+    circuit: Any
+    fingerprint: str
+    kernel: Any
+    keys: list[str]
+    usable: Callable[[int, Mapping[str, Any] | None], bool]
+    work_items: Callable[[list[int]], list[list[int]]]
+    shards: Callable[[list[list[int]], int], list[list[int]]]
+    start: Callable[[], Callable[[Sequence[int]], list[dict[str, Any]]]] | None = None
+    splittable: bool = True
+
+
+@dataclasses.dataclass(frozen=True)
+class _Shard:
+    """One worker task: the plan's kernel plus the units it computes."""
+
+    spec: CircuitSpec
+    kernel: Any
+    units: tuple[int, ...]
+    trace: TraceContext | None = None
+
+
+def _run_shard(task: _Shard) -> list[dict[str, Any]]:
+    """Worker entry point (module level: picklable)."""
+    with worker_scope(
+        task.trace, "sweep.shard", kind=task.kernel.kind, units=len(task.units)
+    ):
+        return task.kernel.start(task.spec.build())(task.units)
+
+
+def _split_shard(task: _Shard) -> tuple[_Shard, _Shard]:
+    """Halve a shard for the ``split-and-retry`` action."""
+    half = len(task.units) // 2
+    return (
+        dataclasses.replace(task, units=task.units[:half]),
+        dataclasses.replace(task, units=task.units[half:]),
     )
-    shards: list[list[OperatingTriad]] = [[] for _ in range(min(n_shards, len(groups)))]
-    loads = [0] * len(shards)
-    for _, group in ordered:
-        lightest = loads.index(min(loads))
-        shards[lightest].extend(group)
-        loads[lightest] += len(group)
-    return [shard for shard in shards if shard]
+
+
+def _validate_shard(task: _Shard, result: Any) -> bool:
+    """Parent-side shard-result check: one well-versioned payload per unit.
+
+    This is what catches a worker that completed but returned garbage (the
+    chaos harness's ``corrupt`` action, a partially pickled result ...): the
+    engine treats a failing result like any other shard failure.
+    """
+    if not isinstance(result, list) or len(result) != len(task.units):
+        return False
+    return all(
+        isinstance(payload, Mapping)
+        and payload.get("payload_version") == task.kernel.version
+        for payload in result
+    )
+
+
+def verified_spec(circuit: Any, fingerprint: str) -> CircuitSpec | None:
+    """Spec whose rebuilt netlist is proven identical to ``circuit``'s.
+
+    Circuits without one still sweep (in-process) and still cache; they
+    just cannot be shipped to worker processes by generator name.
+    """
+    spec = CircuitSpec.from_circuit(circuit)
+    if spec is None:
+        return None
+    if netlist_fingerprint(spec.build().netlist) != fingerprint:
+        return None
+    return spec
+
+
+def execute_sweep(
+    plan: SweepPlan,
+    *,
+    jobs: int,
+    store: SweepResultStore | None,
+    policy: ExecutionPolicy | None,
+    chaos: ChaosPlan | None,
+    report: ExecutionReport | None,
+) -> list[dict[str, Any]]:
+    """Run one sweep plan; return its payloads in output order.
+
+    Usable cached payloads come from one batch store read.  The rest runs
+    on the fault-tolerant shard engine
+    (:func:`~repro.core.resilience.run_shards`), flushing the store after
+    every completed shard, when ``jobs > 1``, a worker can rebuild the
+    circuit and the plan yields more than one shard.  Otherwise it runs
+    in-process: the kernel is set up once and the store flushes after every
+    work item.  Either way an interrupted sweep resumes warm, and results
+    are byte-identical for every ``jobs``.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    keys = plan.keys
+    payloads: dict[int, dict[str, Any]] = {}
+    with span("sweep", kind=plan.kernel.kind, jobs=jobs) as sweep_span:
+        if store is not None:
+            # One batch read for the whole sweep: segments are visited in
+            # offset order instead of seeking per key, which is what keeps
+            # warm sweeps fast on multi-thousand-entry stores.
+            with span("store.lookup", requested=len(keys)) as lookup_span:
+                cached = store.get_many(keys)
+                for unit, key in enumerate(keys):
+                    if plan.usable(unit, cached.get(key)):
+                        payloads[unit] = cached[key]
+                lookup_span.set(
+                    hits=len(payloads), misses=len(keys) - len(payloads)
+                )
+        items = plan.work_items(
+            [unit for unit in range(len(keys)) if unit not in payloads]
+        )
+        simulated = sum(len(item) for item in items)
+        sweep_span.set(units=len(keys), cached=len(payloads), simulated=simulated)
+        if items:
+            record_simulated_units(simulated)
+
+            def flush(units: Sequence[int], results: list[dict[str, Any]]) -> None:
+                payloads.update(zip(units, results))
+                if store is not None:
+                    with span("store.flush", entries=len(units)):
+                        for unit in units:
+                            store.put(keys[unit], payloads[unit])
+
+            spec = verified_spec(plan.circuit, plan.fingerprint) if jobs > 1 else None
+            shards = plan.shards(items, jobs) if spec is not None else []
+            if len(shards) > 1:
+                trace_context = current_context()
+                tasks = [
+                    _Shard(spec, plan.kernel, tuple(units), trace_context)
+                    for units in shards
+                ]
+                run_shards(
+                    tasks,
+                    _run_shard,
+                    policy=policy,
+                    max_workers=min(jobs, len(tasks)),
+                    units=lambda task: len(task.units),
+                    split=_split_shard if plan.splittable else None,
+                    validate=_validate_shard,
+                    on_result=lambda task, result: flush(task.units, result),
+                    chaos=chaos,
+                    report=report,
+                )
+            else:
+                run = plan.start() if plan.start else plan.kernel.start(plan.circuit)
+                for units in items:
+                    flush(units, run(units))
+    return [payloads[unit] for unit in range(len(keys))]
 
 
 # ---------------------------------------------------------------------------
-# Worker entry points (module level: picklable)
+# Kernels (picklable: they travel to worker processes inside shards)
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
-class _CharacterizationShard:
-    spec: CircuitSpec
+class _TriadKernel:
+    """Characterization: unit ``i`` is ``triads[i]`` on one stimulus."""
+
+    kind: ClassVar[str] = "characterization"
+    version: ClassVar[int] = PAYLOAD_VERSION
     library: StandardCellLibrary
-    stimulus: SharedArrayRef
-    triads: tuple[tuple[float, float, float], ...]
+    in1: np.ndarray
+    in2: np.ndarray
+    triads: tuple[OperatingTriad, ...]
     keep_latched: bool
-    trace: TraceContext | None = None
 
+    def start(self, circuit: Any, testbench: Any = None) -> Callable[..., list]:
+        bench = testbench or _make_testbench(circuit, self.library)
 
-def _run_characterization_shard(task: _CharacterizationShard) -> list[dict[str, Any]]:
-    with worker_scope(
-        task.trace, "sweep.shard", kind="characterization", units=len(task.triads)
-    ):
-        circuit = task.spec.build()
-        testbench = _make_testbench(circuit, task.library)
-        operands = task.stimulus.load()
-        triads = [OperatingTriad(tclk=t, vdd=v, vbb=b) for t, v, b in task.triads]
-        measurements = testbench.run_sweep(operands["in1"], operands["in2"], triads)
-        return [
-            measurement_to_payload(m, circuit.output_width, task.keep_latched)
-            for m in measurements
-        ]
+        def run(units: Sequence[int]) -> list[dict[str, Any]]:
+            measurements = bench.run_sweep(
+                self.in1, self.in2, [self.triads[unit] for unit in units]
+            )
+            return [
+                measurement_to_payload(m, circuit.output_width, self.keep_latched)
+                for m in measurements
+            ]
+
+        return run
 
 
 @dataclasses.dataclass(frozen=True)
-class _FaultShard:
-    spec: CircuitSpec
-    stimulus: SharedArrayRef
-    faults: tuple[tuple[int, bool], ...]
-    trace: TraceContext | None = None
+class _FaultKernel:
+    """Stuck-at campaign: unit ``i`` is fault site ``faults[i]``."""
 
+    kind: ClassVar[str] = "faults"
+    version: ClassVar[int] = PAYLOAD_VERSION
+    in1: np.ndarray
+    in2: np.ndarray
+    faults: tuple[StuckAtFault, ...]
 
-def _run_fault_shard(task: _FaultShard) -> list[dict[str, Any]]:
-    with worker_scope(
-        task.trace, "sweep.shard", kind="faults", units=len(task.faults)
-    ):
-        circuit = task.spec.build()
+    def start(self, circuit: Any) -> Callable[..., list]:
         simulator = StuckAtFaultSimulator(
             circuit.netlist, output_ports=circuit.output_ports()
         )
-        operands = task.stimulus.load()
-        assignment = circuit.input_assignment(operands["in1"], operands["in2"])
-        faults = [
-            StuckAtFault(net=net, stuck_value=value) for net, value in task.faults
-        ]
-        results = simulator.run(assignment, faults)
-        return [_fault_result_to_payload(result) for result in results]
+        assignment = circuit.input_assignment(self.in1, self.in2)
+        n_vectors = int(self.in1.size)
+
+        def run(units: Sequence[int]) -> list[dict[str, Any]]:
+            results = simulator.run(assignment, [self.faults[unit] for unit in units])
+            return [_fault_result_to_payload(r, n_vectors) for r in results]
+
+        return run
 
 
-def _fault_result_to_payload(result: FaultSimulationResult) -> dict[str, Any]:
+def _fault_result_to_payload(
+    result: FaultSimulationResult, n_vectors: int
+) -> dict[str, Any]:
     return {
         "payload_version": PAYLOAD_VERSION,
         "fault": {"net": result.fault.net, "value": bool(result.fault.stuck_value)},
         "detected": bool(result.detected),
         "faulty_vector_fraction": result.faulty_vector_fraction,
         "ber": result.ber,
+        "n_vectors": n_vectors,
     }
 
 
@@ -447,78 +650,8 @@ def _payload_to_fault_result(payload: Mapping[str, Any]) -> FaultSimulationResul
 
 
 # ---------------------------------------------------------------------------
-# Resilience hooks (split / validate callbacks of the shard engine)
+# Plan builders
 # ---------------------------------------------------------------------------
-
-
-def _split_characterization_shard(
-    task: _CharacterizationShard,
-) -> tuple[_CharacterizationShard, _CharacterizationShard]:
-    """Halve a characterization shard for the ``split-and-retry`` action."""
-    half = len(task.triads) // 2
-    return (
-        dataclasses.replace(task, triads=task.triads[:half]),
-        dataclasses.replace(task, triads=task.triads[half:]),
-    )
-
-
-def _split_fault_shard(task: _FaultShard) -> tuple[_FaultShard, _FaultShard]:
-    """Halve a fault-campaign shard for the ``split-and-retry`` action."""
-    half = len(task.faults) // 2
-    return (
-        dataclasses.replace(task, faults=task.faults[:half]),
-        dataclasses.replace(task, faults=task.faults[half:]),
-    )
-
-
-def _valid_payload_list(result: Any, expected: int) -> bool:
-    """Parent-side shard-result check: one well-versioned payload per unit.
-
-    This is what catches a worker that completed but returned garbage (the
-    chaos harness's ``corrupt`` action, a partially pickled result ...): the
-    engine treats a failing result like any other shard failure.
-    """
-    if not isinstance(result, list) or len(result) != expected:
-        return False
-    return all(
-        isinstance(payload, Mapping)
-        and payload.get("payload_version") == PAYLOAD_VERSION
-        for payload in result
-    )
-
-
-def _validate_characterization_shard(
-    task: _CharacterizationShard, result: Any
-) -> bool:
-    return _valid_payload_list(result, len(task.triads))
-
-
-def _validate_fault_shard(task: _FaultShard, result: Any) -> bool:
-    return _valid_payload_list(result, len(task.faults))
-
-
-# ---------------------------------------------------------------------------
-# Orchestration
-# ---------------------------------------------------------------------------
-
-
-def verified_spec(circuit: Any, fingerprint: str) -> CircuitSpec | None:
-    """Spec whose rebuilt netlist is proven identical to ``circuit``'s.
-
-    Shared by every orchestrator that ships circuits to worker processes by
-    generator name (characterization, fault campaigns, and the Monte Carlo
-    variation sweeps of :mod:`repro.variation.montecarlo`).
-    """
-    spec = CircuitSpec.from_circuit(circuit)
-    if spec is None:
-        return None
-    if netlist_fingerprint(spec.build().netlist) != fingerprint:
-        return None
-    return spec
-
-
-#: Backwards-compatible alias of :func:`verified_spec`.
-_verified_spec = verified_spec
 
 
 def characterization_key_components(
@@ -529,8 +662,8 @@ def characterization_key_components(
     """Triad-independent key components of a characterization sweep.
 
     The single definition of what identifies a sweep's results in the store;
-    combine with a triad via :func:`characterization_entry_key`.  Used by the
-    orchestrator below and by the cross-job dedup planner of
+    combine with a triad via :func:`characterization_entry_key`.  Used by
+    :func:`run_characterization_sweep` and by the cross-job dedup planner of
     :mod:`repro.api.session` (which must predict the orchestrator's keys
     without running it).
     """
@@ -571,7 +704,6 @@ def run_characterization_sweep(
     policy: ExecutionPolicy | None = None,
     chaos: ChaosPlan | None = None,
     report: ExecutionReport | None = None,
-    shm: bool | None = None,
 ) -> list[dict[str, Any]]:
     """Characterize a circuit over a triad grid, sharded, cached, resilient.
 
@@ -610,154 +742,40 @@ def run_characterization_sweep(
     report:
         Optional :class:`~repro.core.resilience.ExecutionReport` to
         accumulate recovery accounting into.
-    shm:
-        Whether worker processes receive the operand streams through a
-        shared-memory segment (:mod:`repro.core.shm`) instead of pickling
-        them into every shard.  ``None`` (the default) follows the
-        ``REPRO_SHM`` environment variable; results are byte-identical
-        either way.
 
     Returns
     -------
     list of payload dicts in grid order.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    with span("sweep", kind="characterization", jobs=jobs) as sweep_span:
-        return _characterization_sweep_body(
-            circuit,
-            grid,
-            in1,
-            in2,
-            stimulus,
-            library=library,
-            jobs=jobs,
-            store=store,
-            keep_latched=keep_latched,
-            testbench=testbench,
-            policy=policy,
-            chaos=chaos,
-            report=report,
-            shm=shm,
-            sweep_span=sweep_span,
-        )
-
-
-def _characterization_sweep_body(
-    circuit: Any,
-    grid: TriadGrid,
-    in1: np.ndarray,
-    in2: np.ndarray,
-    stimulus: Mapping[str, Any],
-    *,
-    library: StandardCellLibrary,
-    jobs: int,
-    store: SweepResultStore | None,
-    keep_latched: bool,
-    testbench: Any,
-    policy: ExecutionPolicy | None,
-    chaos: ChaosPlan | None,
-    report: ExecutionReport | None,
-    shm: bool | None,
-    sweep_span: Any,
-) -> list[dict[str, Any]]:
-    """Body of :func:`run_characterization_sweep` under its ``sweep`` span."""
-    in1_arr = np.asarray(in1, dtype=np.int64)
-    in2_arr = np.asarray(in2, dtype=np.int64)
+    triads = tuple(grid)
     base_components = characterization_key_components(circuit, library, stimulus)
-    fingerprint = base_components["circuit"]
-    n_vectors = int(in1_arr.size)
-
-    keys: dict[OperatingTriad, str] = {}
-    payloads: dict[OperatingTriad, dict[str, Any]] = {}
-    for triad in grid:
-        keys[triad] = characterization_entry_key(base_components, triad)
-    if store is not None:
-        # One batch read for the whole grid: segments are visited in offset
-        # order instead of seeking per key, which is what keeps warm sweeps
-        # fast on multi-thousand-entry stores.
-        with span("store.lookup", requested=len(keys)) as lookup_span:
-            cached_batch = store.get_many([keys[triad] for triad in grid])
-            for triad in grid:
-                cached = cached_batch.get(keys[triad])
-                if payload_usable(cached, n_vectors, keep_latched):
-                    payloads[triad] = cached  # type: ignore[assignment]
-            lookup_span.set(hits=len(payloads), misses=len(keys) - len(payloads))
-
-    missing = [triad for triad in grid if triad not in payloads]
-    sweep_span.set(
-        units=len(keys), cached=len(payloads), simulated=len(missing)
+    kernel = _TriadKernel(
+        library=library,
+        in1=np.asarray(in1, dtype=np.int64),
+        in2=np.asarray(in2, dtype=np.int64),
+        triads=triads,
+        keep_latched=keep_latched,
     )
-    if missing:
-        record_simulated_units(len(missing))
-        spec = _verified_spec(circuit, fingerprint) if jobs > 1 else None
-        shards = shard_triads(missing, jobs if spec is not None else 1)
-        if spec is not None and len(shards) > 1:
-            bundle = share_arrays({"in1": in1_arr, "in2": in2_arr}, enabled=shm)
-            trace_context = current_context()
-            tasks = [
-                _CharacterizationShard(
-                    spec=spec,
-                    library=library,
-                    stimulus=bundle.ref,
-                    triads=tuple((t.tclk, t.vdd, t.vbb) for t in shard),
-                    keep_latched=keep_latched,
-                    trace=trace_context,
-                )
-                for shard in shards
-            ]
-            key_by_coords = {
-                (triad.tclk, triad.vdd, triad.vbb): keys[triad]
-                for triad in missing
-            }
+    n_vectors = int(kernel.in1.size)
 
-            def flush(task: _CharacterizationShard, result: list) -> None:
-                if store is None:
-                    return
-                with span("store.flush", entries=len(result)):
-                    for coords, payload in zip(task.triads, result):
-                        store.put(key_by_coords[coords], payload)
+    def point(unit: int) -> tuple[float, float]:
+        return _operating_point(triads[unit])
 
-            shard_payloads = run_shards(
-                tasks,
-                _run_characterization_shard,
-                policy=policy,
-                max_workers=len(tasks),
-                units=lambda task: len(task.triads),
-                split=_split_characterization_shard,
-                validate=_validate_characterization_shard,
-                on_result=flush,
-                chaos=chaos,
-                report=report,
-                cleanup=bundle.unlink,
-            )
-            for shard, shard_result in zip(shards, shard_payloads):
-                for triad, payload in zip(shard, shard_result):
-                    payloads[triad] = payload
-        else:
-            bench = testbench or _make_testbench(circuit, library)
-            # One in-process chunk per (vdd, vbb) group: the sweep-level
-            # reuse lives inside a group, so chunking changes no numbers,
-            # and the per-group store flush makes serial runs exactly as
-            # crash-consistent as sharded ones.
-            groups: dict[tuple[float, float], list[OperatingTriad]] = {}
-            for triad in missing:
-                groups.setdefault((triad.vdd, triad.vbb), []).append(triad)
-            for group in groups.values():
-                measurements = bench.run_sweep(in1_arr, in2_arr, group)
-                group_payloads = []
-                for triad, measurement in zip(group, measurements):
-                    payload = measurement_to_payload(
-                        measurement, circuit.output_width, keep_latched
-                    )
-                    payloads[triad] = payload
-                    group_payloads.append((keys[triad], payload))
-                if store is not None:
-                    with span("store.flush", entries=len(group_payloads)):
-                        for key, payload in group_payloads:
-                            store.put(key, payload)
-
-    return [payloads[triad] for triad in grid]
+    plan = SweepPlan(
+        circuit=circuit,
+        fingerprint=base_components["circuit"],
+        kernel=kernel,
+        keys=[characterization_entry_key(base_components, t) for t in triads],
+        usable=lambda unit, payload: payload_usable(payload, n_vectors, keep_latched),
+        # One work item per (vdd, vbb) group: the sweep-level reuse lives
+        # inside a group, so chunking changes no numbers.
+        work_items=lambda missing: _group_by(missing, point),
+        shards=lambda items, jobs: _balance(items, jobs, point),
+        start=lambda: kernel.start(circuit, testbench),
+    )
+    return execute_sweep(
+        plan, jobs=jobs, store=store, policy=policy, chaos=chaos, report=report
+    )
 
 
 def run_fault_sweep(
@@ -772,60 +790,22 @@ def run_fault_sweep(
     policy: ExecutionPolicy | None = None,
     chaos: ChaosPlan | None = None,
     report: ExecutionReport | None = None,
-    shm: bool | None = None,
 ) -> list[FaultSimulationResult]:
     """Run a stuck-at fault campaign, sharded over fault sites and cached.
 
     The fault list (default: the full single-stuck-at universe of the
-    circuit) is split into contiguous chunks across ``jobs`` workers; each
-    worker evaluates its chunk on the compiled packed engine.  Per-fault
+    circuit) is dealt round-robin across ``jobs`` workers; each worker
+    evaluates its sites on the compiled packed engine.  Per-fault
     results are stored content-addressed, keyed on (circuit, stimulus,
     fault, engine version) -- the cell library does not enter the key because
     stuck-at simulation is purely functional.
 
-    ``policy`` / ``chaos`` / ``report`` / ``shm`` configure and account the
+    ``policy`` / ``chaos`` / ``report`` configure and account the
     fault-tolerant shard engine exactly as in
     :func:`run_characterization_sweep`; completed shards (and, in-process,
     fixed-size fault blocks) flush to the store immediately.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    with span("sweep", kind="faults", jobs=jobs) as sweep_span:
-        return _fault_sweep_body(
-            circuit,
-            in1,
-            in2,
-            stimulus,
-            faults=faults,
-            jobs=jobs,
-            store=store,
-            policy=policy,
-            chaos=chaos,
-            report=report,
-            shm=shm,
-            sweep_span=sweep_span,
-        )
-
-
-def _fault_sweep_body(
-    circuit: Any,
-    in1: np.ndarray,
-    in2: np.ndarray,
-    stimulus: Mapping[str, Any],
-    *,
-    faults: Sequence[StuckAtFault] | None,
-    jobs: int,
-    store: SweepResultStore | None,
-    policy: ExecutionPolicy | None,
-    chaos: ChaosPlan | None,
-    report: ExecutionReport | None,
-    shm: bool | None,
-    sweep_span: Any,
-) -> list[FaultSimulationResult]:
-    """Body of :func:`run_fault_sweep` under its ``sweep`` span."""
-    in1_arr = np.asarray(in1, dtype=np.int64)
-    in2_arr = np.asarray(in2, dtype=np.int64)
-    fault_list = list(
+    fault_list = tuple(
         enumerate_stuck_at_faults(circuit.netlist) if faults is None else faults
     )
     fingerprint = netlist_fingerprint(circuit.netlist)
@@ -836,121 +816,48 @@ def _fault_sweep_body(
         "circuit_name": circuit.name,
         "stimulus": dict(stimulus),
     }
-    n_vectors = int(in1_arr.size)
+    kernel = _FaultKernel(
+        in1=np.asarray(in1, dtype=np.int64),
+        in2=np.asarray(in2, dtype=np.int64),
+        faults=fault_list,
+    )
+    n_vectors = int(kernel.in1.size)
 
-    keys: list[str] = []
-    results: dict[int, FaultSimulationResult] = {}
-    missing_indices: list[int] = []
-    for fault in fault_list:
-        keys.append(
+    def usable(unit: int, payload: Mapping[str, Any] | None) -> bool:
+        # Entries that predate the n_vectors field stay usable.
+        return (
+            payload is not None
+            and payload.get("payload_version") == PAYLOAD_VERSION
+            and payload.get("n_vectors", n_vectors) == n_vectors
+        )
+
+    def blocks(missing: list[int]) -> list[list[int]]:
+        step = SERIAL_FAULT_FLUSH_BLOCK
+        return [missing[start : start + step] for start in range(0, len(missing), step)]
+
+    def strided(items: list[list[int]], jobs: int) -> list[list[int]]:
+        missing = [unit for item in items for unit in item]
+        n_shards = min(jobs, len(missing))
+        return [missing[start::n_shards] for start in range(n_shards)]
+
+    plan = SweepPlan(
+        circuit=circuit,
+        fingerprint=fingerprint,
+        kernel=kernel,
+        keys=[
             SweepResultStore.entry_key(
                 {
                     **base_components,
-                    "fault": {
-                        "net": fault.net,
-                        "value": bool(fault.stuck_value),
-                    },
+                    "fault": {"net": fault.net, "value": bool(fault.stuck_value)},
                 }
             )
-        )
-    with span("store.lookup", requested=len(keys)) as lookup_span:
-        cached_batch = store.get_many(keys) if store is not None else {}
-        for index in range(len(fault_list)):
-            cached = cached_batch.get(keys[index])
-            if (
-                cached is not None
-                and cached.get("payload_version") == PAYLOAD_VERSION
-                and cached.get("n_vectors", n_vectors) == n_vectors
-            ):
-                results[index] = _payload_to_fault_result(cached)
-            else:
-                missing_indices.append(index)
-        lookup_span.set(hits=len(results), misses=len(missing_indices))
-
-    sweep_span.set(
-        units=len(fault_list),
-        cached=len(results),
-        simulated=len(missing_indices),
+            for fault in fault_list
+        ],
+        usable=usable,
+        work_items=blocks,
+        shards=strided,
     )
-    if missing_indices:
-        record_simulated_units(len(missing_indices))
-        spec = _verified_spec(circuit, fingerprint) if jobs > 1 else None
-        n_shards = min(jobs, len(missing_indices)) if spec is not None else 1
-        chunks = [
-            missing_indices[start::n_shards] for start in range(n_shards)
-        ]
-        key_by_fault = {
-            (fault_list[i].net, bool(fault_list[i].stuck_value)): keys[i]
-            for i in missing_indices
-        }
-        if spec is not None and len(chunks) > 1:
-            bundle = share_arrays({"in1": in1_arr, "in2": in2_arr}, enabled=shm)
-            trace_context = current_context()
-            tasks = [
-                _FaultShard(
-                    spec=spec,
-                    stimulus=bundle.ref,
-                    faults=tuple(
-                        (fault_list[i].net, bool(fault_list[i].stuck_value))
-                        for i in chunk
-                    ),
-                    trace=trace_context,
-                )
-                for chunk in chunks
-            ]
-
-            def flush(task: _FaultShard, result: list) -> None:
-                if store is None:
-                    return
-                with span("store.flush", entries=len(result)):
-                    for site, payload in zip(task.faults, result):
-                        store.put(
-                            key_by_fault[site], {**payload, "n_vectors": n_vectors}
-                        )
-
-            chunk_payloads = run_shards(
-                tasks,
-                _run_fault_shard,
-                policy=policy,
-                max_workers=len(tasks),
-                units=lambda task: len(task.faults),
-                split=_split_fault_shard,
-                validate=_validate_fault_shard,
-                on_result=flush,
-                chaos=chaos,
-                report=report,
-                cleanup=bundle.unlink,
-            )
-            for chunk, chunk_result in zip(chunks, chunk_payloads):
-                for index, payload in zip(chunk, chunk_result):
-                    results[index] = _payload_to_fault_result(payload)
-        else:
-            simulator = StuckAtFaultSimulator(
-                circuit.netlist, output_ports=circuit.output_ports()
-            )
-            assignment = circuit.input_assignment(in1_arr, in2_arr)
-            # Fixed-size in-process blocks, flushed to the store as they
-            # complete, so an interrupted serial campaign also resumes warm.
-            for block_start in range(
-                0, len(missing_indices), SERIAL_FAULT_FLUSH_BLOCK
-            ):
-                block = missing_indices[
-                    block_start : block_start + SERIAL_FAULT_FLUSH_BLOCK
-                ]
-                block_results = simulator.run(
-                    assignment, [fault_list[i] for i in block]
-                )
-                block_payloads = []
-                for index, result in zip(block, block_results):
-                    payload = {
-                        **_fault_result_to_payload(result),
-                        "n_vectors": n_vectors,
-                    }
-                    results[index] = _payload_to_fault_result(payload)
-                    block_payloads.append((keys[index], payload))
-                if store is not None:
-                    with span("store.flush", entries=len(block_payloads)):
-                        for key, payload in block_payloads:
-                            store.put(key, payload)
-
-    return [results[index] for index in range(len(fault_list))]
+    payloads = execute_sweep(
+        plan, jobs=jobs, store=store, policy=policy, chaos=chaos, report=report
+    )
+    return [_payload_to_fault_result(payload) for payload in payloads]

@@ -11,8 +11,9 @@ RPL003     determinism: no iteration over set expressions
 RPL004     determinism: ``json.dumps`` must pass ``sort_keys=True``
 RPL005     resilience: ``ProcessPoolExecutor`` only in ``core/resilience``
 RPL006     resilience: broad excepts must re-raise or count
-RPL007     resilience: shared-memory segments via the ``core/shm`` seam,
-           paired with close/unlink or ownership transfer
+RPL007     resilience: no ``SharedMemory`` outside the reserved
+           ``core/shm`` path; handles paired with close/unlink or
+           ownership transfer
 RPL008     async: no blocking calls inside ``async def`` bodies
 RPL009     api: every ``*Job`` dataclass registered in ``JOB_TYPES``
 RPL010     api: hand-written ``to_json`` on ``*Job``/``*Options``
@@ -345,14 +346,14 @@ class SwallowedExceptionRule(LintRule):
 class SharedMemorySeamRule(LintRule):
     """RPL007: shared-memory discipline.
 
-    Two checks.  Outside ``repro/core/shm.py``, constructing
+    Two checks.  Outside ``repro/core/shm.py`` -- the seam path the rule
+    reserves, though the transport that lived there is gone and shards
+    now pickle their stimulus -- constructing
     ``multiprocessing.shared_memory.SharedMemory`` directly is flagged:
-    the seam module owns naming (janitor-reapable ``repro_shm_<pid>_*``),
-    spawn-safe attach, and the inline fallback -- ad-hoc segments leak on
-    crash.  Inside any module, a function that binds a ``SharedMemory``
-    handle must release it in a ``finally`` (``.close()``/``.unlink()``)
-    or visibly transfer ownership (return it, or pass it to another
-    callable that takes over) -- PR 9 fixed exactly the leak this catches.
+    ad-hoc segments outlive a crashed creator.  Inside any module, a
+    function that binds a ``SharedMemory`` handle must release it in a
+    ``finally`` (``.close()``/``.unlink()``) or visibly transfer ownership
+    (return it, or pass it to another callable that takes over).
     """
 
     code = "RPL007"
@@ -379,9 +380,9 @@ class SharedMemorySeamRule(LintRule):
                 yield self.finding(
                     node,
                     ctx,
-                    "direct SharedMemory use; go through the repro.core.shm "
-                    "seam (share_arrays/SharedArrayRef) so segments are "
-                    "janitor-reapable and crash-safe",
+                    "direct SharedMemory use; sweep shards pickle their "
+                    "stimulus (a shared-memory transport showed no measurable "
+                    "win), and a POSIX segment outlives a crashed creator",
                 )
             return
         yield from self._check_pairing(node, ctx)

@@ -11,14 +11,15 @@ timing engine (one batched arrival pass evaluates the whole range per
 per-instance BER/energy into distribution statistics and yield
 (:mod:`repro.variation.stats`).
 
-Scale comes from the PR-2 orchestration layer, reused wholesale:
+Scale comes from the sweep executor of :mod:`repro.core.sweep`: a Monte
+Carlo run is one :class:`~repro.core.sweep.SweepPlan` whose output units are
+``(sample range, triad)`` pairs.
 
 * **Sharding.**  Sample ranges are fixed-size chunks (independent of the
-  worker count), distributed over a ``ProcessPoolExecutor``.  Workers rebuild
-  the circuit from its verified generator spec
-  (:func:`repro.core.sweep.verified_spec`), and every per-instance number
-  depends only on ``(seed, absolute sample index)`` -- so serial and sharded
-  runs are byte-identical, entry for entry.
+  worker count); each range is one work item and one worker shard.
+  Workers rebuild the circuit from its verified generator spec, and every
+  per-instance number depends only on ``(seed, absolute sample index)`` --
+  so serial and sharded runs are byte-identical, entry for entry.
 * **Result store.**  Each ``(triad, sample range)`` summary persists in the
   content-addressed :class:`~repro.core.store.SweepResultStore`, keyed by
   (netlist fingerprint, corner-shifted library fingerprint, stimulus,
@@ -31,14 +32,12 @@ Scale comes from the PR-2 orchestration layer, reused wholesale:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from repro.circuits.multipliers import MultiplierCircuit
 from repro.circuits.signals import int_to_bits
-from repro.core.resilience import ExecutionPolicy, ExecutionReport, run_shards
-from repro.core.shm import SharedArrayRef, share_arrays
+from repro.core.resilience import ExecutionPolicy, ExecutionReport
 from repro.core.store import (
     SweepResultStore,
     decode_float64_array,
@@ -46,9 +45,8 @@ from repro.core.store import (
     netlist_fingerprint,
     pack_float64_array,
 )
-from repro.core.sweep import CircuitSpec, record_simulated_units, verified_spec
+from repro.core.sweep import SweepPlan, _exact_words, execute_sweep
 from repro.core.triad import OperatingTriad, TriadGrid
-from repro.obs.trace import TraceContext, current_context, span, worker_scope
 from repro.simulation.engine import ENGINE_VERSION
 from repro.simulation.timing_sim import VosTimingSimulator
 from repro.technology.corners import (
@@ -136,124 +134,88 @@ def supply_scaling_grid(
 
 
 # ---------------------------------------------------------------------------
-# Range simulation (the worker body)
+# Range simulation (the kernel)
 # ---------------------------------------------------------------------------
 
 
-def _exact_words(circuit: Any, in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
-    if isinstance(circuit, MultiplierCircuit):
-        return circuit.exact_product(in1, in2)
-    return circuit.exact_sum(in1, in2)
+@dataclasses.dataclass(frozen=True)
+class _RangeKernel:
+    """Monte Carlo: unit ``r * len(triads) + t`` is triad ``t`` of range ``r``.
 
-
-def _simulate_range(
-    circuit: Any,
-    library: StandardCellLibrary,
-    triads: Sequence[OperatingTriad],
-    in1: np.ndarray,
-    in2: np.ndarray,
-    model: GateVariationModel,
-    seed: int,
-    start: int,
-    stop: int,
-    simulator: VosTimingSimulator | None = None,
-) -> list[dict[str, Any]]:
-    """Simulate one sample range over every triad; payloads in triad order.
-
-    Triads are grouped by operating point so the batched arrival pass -- the
-    expensive part -- runs once per ``(vdd, vbb)`` for the whole range, and
-    clock periods within a group cost one latch comparison each.
+    A range is always simulated whole: ``run`` is only ever handed the
+    units of one complete range.
     """
-    if simulator is None:
+
+    kind: ClassVar[str] = "montecarlo"
+    version: ClassVar[int] = MC_PAYLOAD_VERSION
+    library: StandardCellLibrary
+    in1: np.ndarray
+    in2: np.ndarray
+    triads: tuple[OperatingTriad, ...]
+    ranges: tuple[tuple[int, int], ...]
+    model: GateVariationModel
+    seed: int
+
+    def start(self, circuit: Any) -> Callable[..., list]:
         simulator = VosTimingSimulator(
             circuit.netlist,
             output_ports=circuit.output_ports(),
-            library=library,
+            library=self.library,
         )
-    tech = library.technology
-    sampler = VariationSampler(model, seed)
-    batch = sampler.sample_range(circuit.netlist.gate_count, start, stop)
-    leakage_multipliers = batch.leakage_multipliers(tech)
-    assignment = circuit.input_assignment(in1, in2)
-    exact = _exact_words(circuit, in1, in2)
-    exact_bits = int_to_bits(exact, circuit.output_width)
-    n_vectors = int(np.asarray(in1).size)
-
-    groups: dict[tuple[float, float], list[tuple[int, float]]] = {}
-    for index, triad in enumerate(triads):
-        groups.setdefault((triad.vdd, triad.vbb), []).append(
-            (index, triad.tclk)
+        assignment = circuit.input_assignment(self.in1, self.in2)
+        exact_bits = int_to_bits(
+            _exact_words(circuit, self.in1, self.in2), circuit.output_width
         )
+        n_vectors = int(self.in1.size)
+        tech = self.library.technology
+        # Triads grouped by operating point, so the batched arrival pass --
+        # the expensive part -- runs once per ``(vdd, vbb)`` for the whole
+        # range, and clock periods within a group cost one latch comparison.
+        groups: dict[tuple[float, float], list[int]] = {}
+        for index, triad in enumerate(self.triads):
+            groups.setdefault((triad.vdd, triad.vbb), []).append(index)
 
-    payloads: dict[int, dict[str, Any]] = {}
-    for (vdd, vbb), entries in groups.items():
-        delay_multipliers = batch.delay_multipliers(vdd, vbb, tech)
-        results = simulator.run_variation_sweep(
-            assignment,
-            [tclk for _, tclk in entries],
-            vdd,
-            vbb,
-            delay_multipliers=delay_multipliers,
-            leakage_multipliers=leakage_multipliers,
-        )
-        for (index, tclk), result in zip(entries, results):
-            errors = result.latched_bits != exact_bits[None, :, :]
-            ber = errors.mean(axis=(1, 2))
-            faulty = errors.any(axis=2).mean(axis=1)
-            dynamic = float(result.dynamic_energy.mean())
-            static = result.static_energy_per_operation
-            triad = triads[index]
-            payloads[index] = {
-                "payload_version": MC_PAYLOAD_VERSION,
-                "triad": {"tclk": triad.tclk, "vdd": triad.vdd, "vbb": triad.vbb},
-                "n_vectors": n_vectors,
-                "samples": {"start": start, "stop": stop},
-                "ber_samples": pack_float64_array(ber),
-                "faulty_fraction_samples": pack_float64_array(faulty),
-                "energy_samples": pack_float64_array(dynamic + static),
-                "static_energy_samples": pack_float64_array(static),
-                "dynamic_energy_per_operation": dynamic,
-            }
-    return [payloads[index] for index in range(len(triads))]
+        def run(units: Sequence[int]) -> list[dict[str, Any]]:
+            start, stop = self.ranges[units[0] // len(self.triads)]
+            batch = VariationSampler(self.model, self.seed).sample_range(
+                circuit.netlist.gate_count, start, stop
+            )
+            leakage_multipliers = batch.leakage_multipliers(tech)
+            payloads: dict[int, dict[str, Any]] = {}
+            for (vdd, vbb), indices in groups.items():
+                results = simulator.run_variation_sweep(
+                    assignment,
+                    [self.triads[index].tclk for index in indices],
+                    vdd,
+                    vbb,
+                    delay_multipliers=batch.delay_multipliers(vdd, vbb, tech),
+                    leakage_multipliers=leakage_multipliers,
+                )
+                for index, result in zip(indices, results):
+                    errors = result.latched_bits != exact_bits[None, :, :]
+                    ber = errors.mean(axis=(1, 2))
+                    faulty = errors.any(axis=2).mean(axis=1)
+                    dynamic = float(result.dynamic_energy.mean())
+                    static = result.static_energy_per_operation
+                    triad = self.triads[index]
+                    payloads[index] = {
+                        "payload_version": MC_PAYLOAD_VERSION,
+                        "triad": {
+                            "tclk": triad.tclk,
+                            "vdd": triad.vdd,
+                            "vbb": triad.vbb,
+                        },
+                        "n_vectors": n_vectors,
+                        "samples": {"start": start, "stop": stop},
+                        "ber_samples": pack_float64_array(ber),
+                        "faulty_fraction_samples": pack_float64_array(faulty),
+                        "energy_samples": pack_float64_array(dynamic + static),
+                        "static_energy_samples": pack_float64_array(static),
+                        "dynamic_energy_per_operation": dynamic,
+                    }
+            return [payloads[index] for index in range(len(self.triads))]
 
-
-@dataclasses.dataclass(frozen=True)
-class _MonteCarloShard:
-    spec: CircuitSpec
-    library: StandardCellLibrary
-    stimulus: SharedArrayRef
-    triads: tuple[tuple[float, float, float], ...]
-    model: GateVariationModel
-    seed: int
-    start: int
-    stop: int
-    trace: TraceContext | None = None
-
-
-def _run_montecarlo_shard(task: _MonteCarloShard) -> list[dict[str, Any]]:
-    with worker_scope(
-        task.trace,
-        "sweep.shard",
-        kind="montecarlo",
-        units=len(task.triads),
-        samples=task.stop - task.start,
-    ):
-        circuit = task.spec.build()
-        operands = task.stimulus.load()
-        triads = [
-            OperatingTriad(tclk=t, vdd=v, vbb=b) for t, v, b in task.triads
-        ]
-        return _simulate_range(
-            circuit,
-            task.library,
-            triads,
-            operands["in1"],
-            operands["in2"],
-            task.model,
-            task.seed,
-            task.start,
-            task.stop,
-        )
+        return run
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +236,6 @@ def _payload_usable(
     return samples.get("start") == start and samples.get("stop") == stop
 
 
-def _validate_montecarlo_shard(task: _MonteCarloShard, result: Any) -> bool:
-    """Parent-side shard-result check: one versioned payload per triad."""
-    if not isinstance(result, list) or len(result) != len(task.triads):
-        return False
-    return all(
-        isinstance(payload, Mapping)
-        and payload.get("payload_version") == MC_PAYLOAD_VERSION
-        for payload in result
-    )
-
-
 def run_montecarlo_sweep(
     circuit: Any,
     grid: TriadGrid | Sequence[OperatingTriad],
@@ -299,7 +250,6 @@ def run_montecarlo_sweep(
     policy: ExecutionPolicy | None = None,
     chaos: ChaosPlan | None = None,
     report: ExecutionReport | None = None,
-    shm: bool | None = None,
 ) -> list[TriadVariationResult]:
     """Monte Carlo characterize a circuit over a triad grid, sharded + cached.
 
@@ -328,9 +278,9 @@ def run_montecarlo_sweep(
         fetched from / persisted to it (warm reruns simulate nothing).
         Every completed range flushes immediately -- sharded or in-process
         -- so an interrupted run resumes warm.
-    policy / chaos / report / shm:
-        Fault-tolerance and stimulus-transport knobs of the shard engine,
-        as in :func:`repro.core.sweep.run_characterization_sweep`.
+    policy / chaos / report:
+        Fault-tolerance knobs of the shard engine, as in
+        :func:`repro.core.sweep.run_characterization_sweep`.
         Sample-range shards are never split on retry (the range
         decomposition *is* the store-key layout), but all other recovery
         actions apply.
@@ -341,48 +291,7 @@ def run_montecarlo_sweep(
     grid order, each carrying the full per-sample arrays in absolute
     sample-index order.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    with span("sweep", kind="montecarlo", jobs=jobs) as sweep_span:
-        return _montecarlo_sweep_body(
-            circuit,
-            grid,
-            in1,
-            in2,
-            stimulus,
-            config=config,
-            library=library,
-            jobs=jobs,
-            store=store,
-            policy=policy,
-            chaos=chaos,
-            report=report,
-            shm=shm,
-            sweep_span=sweep_span,
-        )
-
-
-def _montecarlo_sweep_body(
-    circuit: Any,
-    grid: TriadGrid | Sequence[OperatingTriad],
-    in1: np.ndarray,
-    in2: np.ndarray,
-    stimulus: Mapping[str, Any],
-    *,
-    config: MonteCarloConfig,
-    library: StandardCellLibrary,
-    jobs: int,
-    store: SweepResultStore | None,
-    policy: ExecutionPolicy | None,
-    chaos: ChaosPlan | None,
-    report: ExecutionReport | None,
-    shm: bool | None,
-    sweep_span: Any,
-) -> list[TriadVariationResult]:
-    """Body of :func:`run_montecarlo_sweep` under its ``sweep`` span."""
-    in1_arr = np.asarray(in1, dtype=np.int64)
-    in2_arr = np.asarray(in2, dtype=np.int64)
-    triads = list(grid)
+    triads = tuple(grid)
     if not triads:
         raise ValueError("the triad grid must not be empty")
     shifted = corner_library(config.corner, library)
@@ -397,156 +306,66 @@ def _montecarlo_sweep_body(
         "corner": config.corner.value,
         "variation": config.key_components(),
     }
-    n_vectors = int(in1_arr.size)
     ranges = config.sample_ranges()
+    kernel = _RangeKernel(
+        library=shifted,
+        in1=np.asarray(in1, dtype=np.int64),
+        in2=np.asarray(in2, dtype=np.int64),
+        triads=triads,
+        ranges=ranges,
+        model=config.model,
+        seed=config.seed,
+    )
+    n_vectors = int(kernel.in1.size)
+    n_triads = len(triads)
 
-    keys: dict[tuple[int, int], str] = {}
-    payloads: dict[tuple[int, int], dict[str, Any]] = {}
-    for range_index, (start, stop) in enumerate(ranges):
-        for triad_index, triad in enumerate(triads):
-            keys[(range_index, triad_index)] = SweepResultStore.entry_key(
+    def whole_ranges(missing: list[int]) -> list[list[int]]:
+        # A range with any unusable entry re-simulates all of its triads.
+        touched = sorted({unit // n_triads for unit in missing})
+        return [list(range(r * n_triads, (r + 1) * n_triads)) for r in touched]
+
+    plan = SweepPlan(
+        circuit=circuit,
+        fingerprint=fingerprint,
+        kernel=kernel,
+        keys=[
+            SweepResultStore.entry_key(
                 {
                     **base_components,
-                    "triad": {
-                        "tclk": triad.tclk,
-                        "vdd": triad.vdd,
-                        "vbb": triad.vbb,
-                    },
+                    "triad": {"tclk": triad.tclk, "vdd": triad.vdd, "vbb": triad.vbb},
                     "samples": {"start": start, "stop": stop},
                 }
             )
-    if store is not None:
-        with span("store.lookup", requested=len(keys)) as lookup_span:
-            cached_batch = store.get_many(list(keys.values()))
-            for (range_index, triad_index), key in keys.items():
-                start, stop = ranges[range_index]
-                cached = cached_batch.get(key)
-                if _payload_usable(cached, n_vectors, start, stop):
-                    payloads[(range_index, triad_index)] = cached  # type: ignore[assignment]
-            lookup_span.set(
-                hits=len(payloads), misses=len(keys) - len(payloads)
-            )
-
-    missing = [
-        range_index
-        for range_index in range(len(ranges))
-        if any(
-            (range_index, triad_index) not in payloads
-            for triad_index in range(len(triads))
-        )
-    ]
-    sweep_span.set(
-        units=len(keys),
-        cached=len(payloads),
-        simulated=len(missing) * len(triads),
+            for start, stop in ranges
+            for triad in triads
+        ],
+        usable=lambda unit, payload: _payload_usable(
+            payload, n_vectors, *ranges[unit // n_triads]
+        ),
+        work_items=whole_ranges,
+        shards=lambda items, jobs: items,
+        # No split: the sample-range decomposition is the store-key layout,
+        # so a halved shard would store nothing reusable.
+        splittable=False,
     )
-    if missing:
-        record_simulated_units(len(missing) * len(triads))
-        spec = verified_spec(circuit, fingerprint) if jobs > 1 else None
-        if spec is not None and jobs > 1 and len(missing) > 1:
-            bundle = share_arrays({"in1": in1_arr, "in2": in2_arr}, enabled=shm)
-            trace_context = current_context()
-            tasks = [
-                _MonteCarloShard(
-                    spec=spec,
-                    library=shifted,
-                    stimulus=bundle.ref,
-                    triads=tuple((t.tclk, t.vdd, t.vbb) for t in triads),
-                    model=config.model,
-                    seed=config.seed,
-                    start=ranges[range_index][0],
-                    stop=ranges[range_index][1],
-                    trace=trace_context,
-                )
-                for range_index in missing
-            ]
-            range_index_by_start = {
-                ranges[range_index][0]: range_index for range_index in missing
-            }
+    payloads = execute_sweep(
+        plan, jobs=jobs, store=store, policy=policy, chaos=chaos, report=report
+    )
 
-            def flush(task: _MonteCarloShard, result: list) -> None:
-                if store is None:
-                    return
-                range_index = range_index_by_start[task.start]
-                with span("store.flush", entries=len(result)):
-                    for triad_index, payload in enumerate(result):
-                        store.put(keys[(range_index, triad_index)], payload)
-
-            range_payloads = run_shards(
-                tasks,
-                _run_montecarlo_shard,
-                policy=policy,
-                max_workers=min(jobs, len(tasks)),
-                units=lambda task: len(task.triads),
-                # No split: the sample-range decomposition is the store-key
-                # layout, so a halved shard would store nothing reusable.
-                split=None,
-                validate=_validate_montecarlo_shard,
-                on_result=flush,
-                chaos=chaos,
-                report=report,
-                cleanup=bundle.unlink,
-            )
-            for range_index, payload_list in zip(missing, range_payloads):
-                for triad_index, payload in enumerate(payload_list):
-                    payloads[(range_index, triad_index)] = payload
-        else:
-            simulator = VosTimingSimulator(
-                circuit.netlist,
-                output_ports=circuit.output_ports(),
-                library=shifted,
-            )
-            for range_index in missing:
-                payload_list = _simulate_range(
-                    circuit,
-                    shifted,
-                    triads,
-                    in1_arr,
-                    in2_arr,
-                    config.model,
-                    config.seed,
-                    ranges[range_index][0],
-                    ranges[range_index][1],
-                    simulator=simulator,
-                )
-                for triad_index, payload in enumerate(payload_list):
-                    payloads[(range_index, triad_index)] = payload
-                if store is not None:
-                    with span("store.flush", entries=len(payload_list)):
-                        for triad_index in range(len(payload_list)):
-                            store.put(
-                                keys[(range_index, triad_index)],
-                                payloads[(range_index, triad_index)],
-                            )
+    def samples(parts: list[dict[str, Any]], field: str) -> np.ndarray:
+        return np.concatenate([decode_float64_array(p[field]) for p in parts])
 
     results: list[TriadVariationResult] = []
-    for triad_index, triad in enumerate(triads):
-        parts = [
-            payloads[(range_index, triad_index)]
-            for range_index in range(len(ranges))
-        ]
+    for index, triad in enumerate(triads):
+        parts = payloads[index::n_triads]
         results.append(
             TriadVariationResult(
                 triad=triad,
                 n_vectors=n_vectors,
-                ber_samples=np.concatenate(
-                    [decode_float64_array(p["ber_samples"]) for p in parts]
-                ),
-                faulty_fraction_samples=np.concatenate(
-                    [
-                        decode_float64_array(p["faulty_fraction_samples"])
-                        for p in parts
-                    ]
-                ),
-                energy_samples=np.concatenate(
-                    [decode_float64_array(p["energy_samples"]) for p in parts]
-                ),
-                static_energy_samples=np.concatenate(
-                    [
-                        decode_float64_array(p["static_energy_samples"])
-                        for p in parts
-                    ]
-                ),
+                ber_samples=samples(parts, "ber_samples"),
+                faulty_fraction_samples=samples(parts, "faulty_fraction_samples"),
+                energy_samples=samples(parts, "energy_samples"),
+                static_energy_samples=samples(parts, "static_energy_samples"),
                 dynamic_energy_per_operation=float(
                     parts[0]["dynamic_energy_per_operation"]
                 ),

@@ -226,8 +226,14 @@ class TestSweepOptionsPolicy:
         )
         assert SweepOptions.from_json(options.to_json()) == options
 
-    def test_shared_memory_round_trips_and_builds_no_policy(self):
-        options = SweepOptions(jobs=2, shared_memory=False)
-        assert SweepOptions.from_json(options.to_json()) == options
-        # Transport choice is orthogonal to the resilience policy.
-        assert options.policy() is None
+    def test_removed_shared_memory_field_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown SweepOptions field"):
+            SweepOptions.from_json({"jobs": 2, "shared_memory": False})
+        with pytest.raises(ValueError, match="shared_memory"):
+            job_from_json(
+                {
+                    "type": "characterize",
+                    "operator": "rca8",
+                    "sweep": {"jobs": 2, "shared_memory": True},
+                }
+            )

@@ -457,25 +457,23 @@ class TestResilienceFlags:
         assert args.max_retries == 1
         assert args.on_worker_failure == "split-and-retry"
 
-    def test_no_shm_parses_into_the_sweep_vocabulary(self):
-        args = build_parser().parse_args(["characterize", "--no-shm"])
-        assert args.no_shm is True
-        args = build_parser().parse_args(["characterize"])
-        assert args.no_shm is False
+    def test_no_sweep_command_has_a_transport_flag(self):
+        import argparse
 
-    def test_no_shm_is_byte_identical(self, capsys):
-        common = [
-            "characterize",
-            "--vectors",
-            "300",
-            "--no-cache",
-            "--jobs",
-            "2",
+        parser = build_parser()
+        (commands,) = [
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
         ]
-        assert main(common) == 0
-        shared_out = capsys.readouterr().out
-        assert main(common + ["--no-shm"]) == 0
-        assert capsys.readouterr().out == shared_out
+        flags = {
+            flag
+            for subparser in commands.choices.values()
+            for action in subparser._actions
+            for flag in action.option_strings
+        }
+        assert "--jobs" in flags
+        assert not [flag for flag in flags if "shm" in flag]
 
     def test_unknown_failure_action_rejected(self):
         with pytest.raises(SystemExit):

@@ -1,11 +1,14 @@
 """Tests of the sharded, cache-backed sweep orchestrator."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.circuits.adders import build_adder
 from repro.circuits.multipliers import array_multiplier
 from repro.core.characterization import CharacterizationFlow
+from repro.core.resilience import ExecutionPolicy, ExecutionReport
 from repro.core.store import SweepResultStore
 from repro.core.sweep import (
     CircuitSpec,
@@ -13,10 +16,14 @@ from repro.core.sweep import (
     run_characterization_sweep,
     run_fault_sweep,
     shard_triads,
+    simulated_unit_count,
 )
 from repro.core.triad import OperatingTriad, TriadGrid
+from repro.obs.trace import Tracer, activated
 from repro.simulation.fault_injection import StuckAtFault
 from repro.simulation.patterns import PatternConfig, generate_patterns
+from repro.testing.chaos import ChaosPlan, ChaosRule
+from repro.variation import MonteCarloConfig, run_montecarlo_sweep
 
 
 @pytest.fixture(scope="module")
@@ -357,3 +364,260 @@ class TestFaultSweep:
         assert warm_store.stats.misses == 0
         assert warm == cold
         assert [r.fault for r in warm] == faults
+
+
+# -- one executor, every sweep kind -------------------------------------------
+
+KINDS = ("characterization", "faults", "montecarlo")
+
+
+@pytest.fixture(scope="module")
+def kind_inputs():
+    config = PatternConfig(n_vectors=200, width=8, seed=7)
+    in1, in2 = generate_patterns(config)
+    grid = TriadGrid.from_product(
+        (0.5, 0.3), supply_voltages=(1.0, 0.6), body_bias_voltages=(0.0,)
+    )
+    return build_adder("rca", 8), grid, in1, in2, pattern_stimulus(config)
+
+
+def run_kind(kind, inputs, **kwargs):
+    """Run one sweep kind; return (comparable results, output units)."""
+    adder, grid, in1, in2, stimulus = inputs
+    if kind == "characterization":
+        payloads = run_characterization_sweep(
+            adder, grid, in1, in2, stimulus, **kwargs
+        )
+        return payloads, len(payloads)
+    if kind == "faults":
+        results = run_fault_sweep(adder, in1, in2, stimulus, **kwargs)
+        return results, len(results)
+    # 16 samples in chunks of 8: two sample ranges, so jobs=2 really shards.
+    config = MonteCarloConfig(n_samples=16, chunk=8)
+    results = run_montecarlo_sweep(
+        adder, grid, in1, in2, stimulus, config=config, **kwargs
+    )
+    comparable = [
+        (r.triad, r.ber_samples.tobytes(), r.energy_samples.tobytes())
+        for r in results
+    ]
+    return comparable, len(results) * len(config.sample_ranges())
+
+
+def traced(trace, body):
+    with activated(Tracer(str(trace))):
+        body()
+    return [json.loads(line) for line in trace.read_text().splitlines()]
+
+
+class TestEveryKindOnOneExecutor:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_chaos_crash_with_packfile_flush_stays_consistent(
+        self, kind, kind_inputs, tmp_path
+    ):
+        # A worker crash mid-sweep must leave the packfile store verifiable,
+        # and warm enough that a rerun simulates zero units.
+        store = SweepResultStore(tmp_path / "cache")
+        chaos = ChaosPlan((ChaosRule(action="crash", shard=0, attempt=0),))
+        report = ExecutionReport()
+        first, units = run_kind(
+            kind,
+            kind_inputs,
+            jobs=2,
+            store=store,
+            policy=ExecutionPolicy(max_retries=2, shard_timeout_s=30.0),
+            chaos=chaos,
+            report=report,
+        )
+        assert report.crashes >= 1
+        fsck = SweepResultStore(store.root).verify()
+        assert fsck.quarantined == 0
+        assert fsck.io_errors == 0
+        assert fsck.scanned == fsck.valid == units
+        before = simulated_unit_count()
+        warm, _ = run_kind(
+            kind, kind_inputs, jobs=2, store=SweepResultStore(store.root)
+        )
+        assert simulated_unit_count() == before
+        assert warm == first
+
+    @pytest.mark.parametrize(
+        "kind, serial_flushes, shard_units",
+        [
+            # One flush per (vdd, vbb) group in-process; one shard per group.
+            ("characterization", [2, 2], [2, 2]),
+            # 82 fault sites: 64-site blocks in-process, dealt round-robin
+            # over the workers when sharded.
+            ("faults", [64, 18], [41, 41]),
+            # One flush and one shard per sample range (4 triads each).
+            ("montecarlo", [4, 4], [4, 4]),
+        ],
+    )
+    def test_work_items_and_shards(
+        self, kind, serial_flushes, shard_units, kind_inputs, tmp_path
+    ):
+        def flushes(records):
+            return [
+                r["attrs"]["entries"] for r in records if r["name"] == "store.flush"
+            ]
+
+        serial_store = SweepResultStore(tmp_path / "serial")
+        records = traced(
+            tmp_path / "serial.jsonl",
+            lambda: run_kind(kind, kind_inputs, jobs=1, store=serial_store),
+        )
+        assert flushes(records) == serial_flushes
+        assert not [r for r in records if r["name"] == "dispatch"]
+
+        sharded_store = SweepResultStore(tmp_path / "sharded")
+        records = traced(
+            tmp_path / "sharded.jsonl",
+            lambda: run_kind(kind, kind_inputs, jobs=2, store=sharded_store),
+        )
+        shards = [r["attrs"]["units"] for r in records if r["name"] == "sweep.shard"]
+        assert sorted(shards) == sorted(shard_units)
+        assert sorted(flushes(records)) == sorted(shard_units)
+        (sweep,) = [r for r in records if r["name"] == "sweep"]
+        assert sweep["attrs"]["kind"] == kind
+
+
+class DictStore:
+    """The two store methods the executor uses, over a plain dict."""
+
+    def __init__(self):
+        self.entries = {}
+
+    def get_many(self, keys):
+        return {key: self.entries[key] for key in keys if key in self.entries}
+
+    def put(self, key, payload):
+        self.entries[key] = dict(payload)
+
+
+def simulated_by(body):
+    """``body()``'s comparable results and the units it simulated."""
+    before = simulated_unit_count()
+    results, _ = body()
+    return results, simulated_unit_count() - before
+
+
+class TestPlanRules:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_jobs_must_be_positive(self, kind, kind_inputs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_kind(kind, kind_inputs, jobs=0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_store_less_sweep_emits_no_store_spans(self, kind, kind_inputs, tmp_path):
+        records = traced(
+            tmp_path / "trace.jsonl", lambda: run_kind(kind, kind_inputs)
+        )
+        names = {record["name"] for record in records}
+        assert "sweep" in names
+        assert not names & {"store.lookup", "store.flush"}
+
+    @pytest.mark.parametrize("field", ["n_vectors", "payload_version"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mismatched_payloads_are_resimulated(self, kind, field, kind_inputs):
+        store = DictStore()
+        cold, units = run_kind(kind, kind_inputs, store=store)
+        for payload in store.entries.values():
+            payload[field] += 1
+        warm, simulated = simulated_by(lambda: run_kind(kind, kind_inputs, store=store))
+        assert simulated == units
+        assert warm == cold
+
+    @pytest.mark.parametrize(
+        "kind, resimulated",
+        # Monte Carlo re-simulates the whole sample range (all 4 triads).
+        [("characterization", 1), ("faults", 1), ("montecarlo", 4)],
+    )
+    def test_one_missing_entry_resimulates_its_work(
+        self, kind, resimulated, kind_inputs
+    ):
+        store = DictStore()
+        cold, _ = run_kind(kind, kind_inputs, store=store)
+        del store.entries[sorted(store.entries)[0]]
+        warm, simulated = simulated_by(lambda: run_kind(kind, kind_inputs, store=store))
+        assert simulated == resimulated
+        assert warm == cold
+
+    def test_fault_payloads_without_n_vectors_stay_usable(self, kind_inputs):
+        store = DictStore()
+        cold, _ = run_kind("faults", kind_inputs, store=store)
+        for payload in store.entries.values():
+            del payload["n_vectors"]
+        warm, simulated = simulated_by(
+            lambda: run_kind("faults", kind_inputs, store=store)
+        )
+        assert simulated == 0
+        assert warm == cold
+
+    def test_montecarlo_payloads_of_another_range_are_resimulated(self, kind_inputs):
+        store = DictStore()
+        cold, units = run_kind("montecarlo", kind_inputs, store=store)
+        for payload in store.entries.values():
+            payload["samples"] = {"start": 0, "stop": 1}
+        warm, simulated = simulated_by(
+            lambda: run_kind("montecarlo", kind_inputs, store=store)
+        )
+        assert simulated == units
+        assert warm == cold
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unrebuildable_circuit_runs_in_process(
+        self, kind, kind_inputs, tmp_path, monkeypatch
+    ):
+        serial, _ = run_kind(kind, kind_inputs)
+        monkeypatch.setattr(
+            CircuitSpec, "from_circuit", classmethod(lambda cls, circuit: None)
+        )
+        outputs = []
+        records = traced(
+            tmp_path / "trace.jsonl",
+            lambda: outputs.append(run_kind(kind, kind_inputs, jobs=2)[0]),
+        )
+        assert outputs == [serial]
+        assert not [r for r in records if r["name"] in ("dispatch", "sweep.shard")]
+
+    @pytest.mark.parametrize(
+        "kind, splits",
+        # Sample ranges are the store-key layout: they are never halved.
+        [("characterization", 1), ("faults", 1), ("montecarlo", 0)],
+    )
+    def test_split_and_retry(self, kind, splits, kind_inputs):
+        serial, _ = run_kind(kind, kind_inputs)
+        report = ExecutionReport()
+        recovered, _ = run_kind(
+            kind,
+            kind_inputs,
+            jobs=2,
+            policy=ExecutionPolicy(max_retries=2, on_failure="split-and-retry"),
+            chaos=ChaosPlan((ChaosRule(action="corrupt", shard=0, attempt=0),)),
+            report=report,
+        )
+        assert recovered == serial
+        assert report.corrupt_results == 1
+        assert report.splits == splits
+
+    def test_executor_calls_module_functions_at_call_time(
+        self, kind_inputs, monkeypatch
+    ):
+        # Profilers wrap module attributes; captured references would
+        # silently bypass them.
+        import repro.core.sweep as sweep_module
+
+        calls = []
+        for name in ("measurement_to_payload", "run_shards"):
+            original = getattr(sweep_module, name)
+
+            def shim(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(sweep_module, name, shim)
+        _, units = run_kind("characterization", kind_inputs)
+        assert calls == ["measurement_to_payload"] * units
+        calls.clear()
+        run_kind("characterization", kind_inputs, jobs=2)
+        assert calls == ["run_shards"]

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.api.jobs import CharacterizeJob
+from repro.api.jobs import CharacterizeJob, FaultSweepJob, MonteCarloJob
 from repro.api.options import PatternOptions
 from repro.api.session import Session
 from repro.cli import main
@@ -115,6 +115,64 @@ class TestTracedShardedRun:
         assert summary.funnel["simulated"] == 0
         assert result.run.simulated_units == 0
         assert result.run.store["hits"] == 43
+
+
+class TestTracedShardedRunEveryKind:
+    """The executor emits one span tree for every sweep kind."""
+
+    JOBS = {
+        "faults": FaultSweepJob(operator="rca8", pattern=SMALL),
+        # 64 samples in chunks of 32: two sample ranges, so it really shards.
+        "montecarlo": MonteCarloJob(
+            operator="rca8", pattern=SMALL, samples=64, supply_voltages=(0.8, 0.6)
+        ),
+    }
+
+    @pytest.fixture(params=sorted(JOBS))
+    def traced_kind(self, request, tmp_path):
+        trace = tmp_path / "run.jsonl"
+        session = Session(store=tmp_path / "store", jobs=2, trace=trace)
+        result = session.run(self.JOBS[request.param])
+        return request.param, result, load_trace(trace)
+
+    def test_trace_validates_against_schema(self, traced_kind):
+        _, _, records = traced_kind
+        assert validate_trace(records) == []
+
+    def test_span_set_and_nesting(self, traced_kind):
+        kind, result, records = traced_kind
+        names = {record["name"] for record in records}
+        assert {
+            "sweep",
+            "store.lookup",
+            "store.flush",
+            "dispatch",
+            "sweep.shard",
+        } <= names
+
+        (sweep_span,) = by_name(records, "sweep")
+        attrs = sweep_span["attrs"]
+        assert attrs["kind"] == kind
+        assert attrs["units"] > 0
+        assert attrs["cached"] == 0
+        assert attrs["simulated"] == attrs["units"] == result.run.simulated_units
+
+        (lookup,) = by_name(records, "store.lookup")
+        (dispatch,) = by_name(records, "dispatch")
+        assert lookup["parent_id"] == dispatch["parent_id"] == sweep_span["span_id"]
+        assert lookup["attrs"]["requested"] == attrs["units"]
+        # Sharded runs flush as each shard lands, inside the dispatch span.
+        flushes = by_name(records, "store.flush")
+        assert {record["parent_id"] for record in flushes} == {dispatch["span_id"]}
+        assert sum(record["attrs"]["entries"] for record in flushes) == attrs["units"]
+
+        shards = by_name(records, "sweep.shard")
+        assert len(shards) == dispatch["attrs"]["shards"] > 1
+        for shard in shards:
+            assert shard["parent_id"] == sweep_span["span_id"]
+            assert shard["attrs"]["kind"] == kind
+            assert shard["pid"] != os.getpid()
+        assert sum(shard["attrs"]["units"] for shard in shards) == attrs["units"]
 
 
 class TestByteIdentity:
