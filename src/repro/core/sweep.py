@@ -589,11 +589,11 @@ class _TriadKernel:
 
     def start(self, circuit: Any, testbench: Any = None) -> Callable[..., list]:
         bench = testbench or _make_testbench(circuit, self.library)
+        # Bound once for the whole sweep, not once per work item.
+        measure = bench.prepare_sweep(self.in1, self.in2)
 
         def run(units: Sequence[int]) -> list[dict[str, Any]]:
-            measurements = bench.run_sweep(
-                self.in1, self.in2, [self.triads[unit] for unit in units]
-            )
+            measurements = measure([self.triads[unit] for unit in units])
             return [
                 measurement_to_payload(m, circuit.output_width, self.keep_latched)
                 for m in measurements

@@ -11,9 +11,7 @@ RPL003     determinism: no iteration over set expressions
 RPL004     determinism: ``json.dumps`` must pass ``sort_keys=True``
 RPL005     resilience: ``ProcessPoolExecutor`` only in ``core/resilience``
 RPL006     resilience: broad excepts must re-raise or count
-RPL007     resilience: no ``SharedMemory`` outside the reserved
-           ``core/shm`` path; handles paired with close/unlink or
-           ownership transfer
+RPL007     resilience: no ``SharedMemory`` construction
 RPL008     async: no blocking calls inside ``async def`` bodies
 RPL009     api: every ``*Job`` dataclass registered in ``JOB_TYPES``
 RPL010     api: hand-written ``to_json`` on ``*Job``/``*Options``
@@ -343,119 +341,33 @@ class SwallowedExceptionRule(LintRule):
 
 
 @register
-class SharedMemorySeamRule(LintRule):
-    """RPL007: shared-memory discipline.
+class SharedMemoryBanRule(LintRule):
+    """RPL007: no ``SharedMemory`` segments.
 
-    Two checks.  Outside ``repro/core/shm.py`` -- the seam path the rule
-    reserves, though the transport that lived there is gone and shards
-    now pickle their stimulus -- constructing
-    ``multiprocessing.shared_memory.SharedMemory`` directly is flagged:
-    ad-hoc segments outlive a crashed creator.  Inside any module, a
-    function that binds a ``SharedMemory`` handle must release it in a
-    ``finally`` (``.close()``/``.unlink()``) or visibly transfer ownership
-    (return it, or pass it to another callable that takes over).
+    Constructing ``multiprocessing.shared_memory.SharedMemory`` is flagged
+    everywhere.  Sweep shards pickle their stimulus -- a shared-memory
+    transport measured no wall-clock win and was deleted -- and a POSIX
+    segment outlives a crashed creator, so a new one needs a measured
+    reason and an inline suppression.
     """
 
     code = "RPL007"
-    title = "SharedMemory outside core/shm.py or without paired cleanup"
-    rationale = "POSIX segments outlive their creator; unpaired handles leak"
-    interests = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Call)
+    title = "SharedMemory construction"
+    rationale = "POSIX segments outlive their creator; shards pickle their stimulus"
+    interests = (ast.Call,)
 
-    _SEAM = ("repro/core/shm.py",)
-
-    @staticmethod
-    def _is_shared_memory_call(node: ast.AST, ctx: FileContext) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
+    def check(self, node: ast.Call, ctx: FileContext) -> Iterator[Finding]:
         name = ctx.resolve(node.func)
-        return name is not None and (
+        if name is not None and (
             name == "SharedMemory" or name.endswith(".SharedMemory")
-        )
-
-    def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        if isinstance(node, ast.Call):
-            if self._is_shared_memory_call(node, ctx) and not ctx.path_is(
-                *self._SEAM
-            ):
-                yield self.finding(
-                    node,
-                    ctx,
-                    "direct SharedMemory use; sweep shards pickle their "
-                    "stimulus (a shared-memory transport showed no measurable "
-                    "win), and a POSIX segment outlives a crashed creator",
-                )
-            return
-        yield from self._check_pairing(node, ctx)
-
-    def _check_pairing(
-        self, func: ast.FunctionDef | ast.AsyncFunctionDef, ctx: FileContext
-    ) -> Iterator[Finding]:
-        bound: dict[str, ast.Call] = {}
-        for stmt in ast.walk(func):
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and self._is_shared_memory_call(stmt.value, ctx)
-            ):
-                bound[stmt.targets[0].id] = stmt.value
-        for name, call in bound.items():
-            if not self._released(func, name):
-                yield self.finding(
-                    call,
-                    ctx,
-                    f"SharedMemory handle {name!r} is neither released in a "
-                    "finally (.close()/.unlink()) nor ownership-transferred "
-                    "(returned / passed on); it leaks on any exception",
-                )
-
-    @staticmethod
-    def _released(
-        func: ast.FunctionDef | ast.AsyncFunctionDef, name: str
-    ) -> bool:
-        def mentions(node: ast.AST) -> bool:
-            return any(
-                isinstance(sub, ast.Name) and sub.id == name
-                for sub in ast.walk(node)
+        ):
+            yield self.finding(
+                node,
+                ctx,
+                "direct SharedMemory use; sweep shards pickle their "
+                "stimulus (a shared-memory transport showed no measurable "
+                "win), and a POSIX segment outlives a crashed creator",
             )
-
-        def transfers(value: ast.AST) -> bool:
-            # Only the *bare* handle transfers ownership; returning a view
-            # into it (``segment.buf[0]``) still leaks the handle itself.
-            accessed = {
-                id(sub.value)
-                for sub in ast.walk(value)
-                if isinstance(sub, (ast.Attribute, ast.Subscript))
-                and isinstance(sub.value, ast.Name)
-            }
-            return any(
-                isinstance(sub, ast.Name)
-                and sub.id == name
-                and id(sub) not in accessed
-                for sub in ast.walk(value)
-            )
-
-        for node in ast.walk(func):
-            if isinstance(node, ast.Try):
-                for final_stmt in node.finalbody:
-                    for sub in ast.walk(final_stmt):
-                        if (
-                            isinstance(sub, ast.Call)
-                            and isinstance(sub.func, ast.Attribute)
-                            and sub.func.attr in {"close", "unlink"}
-                            and mentions(sub.func.value)
-                        ):
-                            return True
-            if isinstance(node, ast.Return) and node.value is not None:
-                if transfers(node.value):
-                    return True
-            if isinstance(node, ast.Call):
-                if any(
-                    isinstance(arg, ast.Name) and arg.id == name
-                    for arg in node.args
-                ):
-                    return True
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +606,7 @@ RULE_CODES = {
         JsonSortKeysRule,
         ExecutorSeamRule,
         SwallowedExceptionRule,
-        SharedMemorySeamRule,
+        SharedMemoryBanRule,
         AsyncBlockingRule,
         JobRegistryRule,
         RoundTripCoverageRule,

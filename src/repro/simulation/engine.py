@@ -13,8 +13,9 @@ so that:
   **bit-packed** ``uint64`` words (64 vectors per element) -- the packed mode
   is what makes zero-delay golden simulation ~2 orders of magnitude cheaper,
 * the data-dependent arrival-time propagation of the VOS timing simulator
-  runs group-at-a-time over ``(gates, vectors)`` blocks instead of gate by
-  gate,
+  walks a flat per-gate program that writes each output row in place (a
+  maximum over the pin rows, a delay add and a toggle-mask multiply), with
+  no gathered ``(pins, gates, vectors)`` temporaries,
 * per-netlist metadata (capacitive net loads, level structure) and the
   per-operating-point timing annotation are computed once and shared by
   every simulation that follows.
@@ -251,6 +252,29 @@ def _compile_group_step(group: "GateGroup"):
     return step
 
 
+def _compile_arrival_program(groups: "tuple[GateGroup, ...]") -> tuple:
+    """Flat per-gate program of the arrival recurrence, in schedule order.
+
+    One ``(output net, first pin, last pin, middle pins, topo index)`` entry
+    per gate; a one-input gate has ``first == last``, so ``max(a, a) == a``
+    needs no special case.
+    """
+    program = []
+    for group in groups:
+        for j in range(group.output_nets.size):
+            pins = tuple(int(net) for net in group.input_nets[:, j])
+            program.append(
+                (
+                    int(group.output_nets[j]),
+                    pins[0],
+                    pins[-1],
+                    pins[1:-1],
+                    int(group.topo_indices[j]),
+                )
+            )
+    return tuple(program)
+
+
 # ---------------------------------------------------------------------------
 # Compiled plan
 # ---------------------------------------------------------------------------
@@ -309,6 +333,7 @@ class CompiledNetlistPlan:
             )
         self._groups = tuple(groups)
         self._program = tuple(_compile_group_step(group) for group in groups)
+        self._arrival_program = _compile_arrival_program(groups)
         self._net_count = netlist.net_count
         self._gate_count = len(topo)
         self._gate_output_nets = np.array(
@@ -424,18 +449,11 @@ class CompiledNetlistPlan:
 
         A net that does not toggle has arrival 0; a toggling net settles one
         gate delay after its latest *toggling* input -- the same recurrence as
-        the legacy per-gate loop, evaluated one group at a time.
+        the legacy per-gate loop.  This is the single-instance view of
+        :meth:`batched_arrival_pass`.
         """
-        arrival = np.zeros(changed.shape, dtype=float)
-        for group in self._groups:
-            gathered = arrival[group.input_nets]
-            contribution = np.where(changed[group.input_nets], gathered, 0.0)
-            input_arrival = contribution.max(axis=0)
-            delays = gate_delays[group.topo_indices][:, None]
-            arrival[group.output_nets] = np.where(
-                changed[group.output_nets], input_arrival + delays, 0.0
-            )
-        return arrival
+        delays = np.asarray(gate_delays, dtype=float)[None, :]
+        return self._arrival_recurrence(changed, delays)[:, 0, :]
 
     def batched_arrival_pass(
         self, changed: np.ndarray, gate_delay_matrix: np.ndarray
@@ -443,10 +461,9 @@ class CompiledNetlistPlan:
         """Arrival times for a *batch* of per-gate delay assignments.
 
         The Monte Carlo variation subsystem evaluates many sampled delay
-        instances of one netlist against one toggle mask; this pass lowers
-        the instance axis through the same group-at-a-time recurrence as
-        :meth:`arrival_pass` so a whole batch costs one schedule walk, not a
-        Python loop over instances.
+        instances of one netlist against one toggle mask; the instance axis
+        rides along in every row operation, so a whole batch costs one walk
+        of the gate program, not a Python loop over instances.
 
         Parameters
         ----------
@@ -461,7 +478,7 @@ class CompiledNetlistPlan:
         -------
         Arrival times of shape ``(net_count, n_instances, n_vectors)``.  For
         a single all-nominal instance the result is bit-identical with
-        :meth:`arrival_pass` (same operations in the same order).
+        :meth:`arrival_pass` (both run the same recurrence).
         """
         delays = np.asarray(gate_delay_matrix, dtype=float)
         if delays.ndim != 2 or delays.shape[1] != self._gate_count:
@@ -469,21 +486,36 @@ class CompiledNetlistPlan:
                 "gate_delay_matrix must have shape (n_instances, "
                 f"{self._gate_count}); got {delays.shape}"
             )
-        n_instances = delays.shape[0]
+        return self._arrival_recurrence(changed, delays)
+
+    def _arrival_recurrence(
+        self, changed: np.ndarray, delays: np.ndarray
+    ) -> np.ndarray:
+        """The arrival recurrence over ``(net, instance, vector)`` rows.
+
+        Each gate writes its output row in place: the maximum over its pin
+        rows, plus its delay, times its own toggle mask.  The per-gate
+        reference (``VosTimingSimulator.run_reference``) also masks every
+        *input* by its toggle mask; that is implied here by an invariant:
+        the row of every net that does not toggle is exactly +0.0
+        (primary-input rows are never written, and every gate output row is
+        multiplied by its own mask).  With finite non-negative delays,
+        ``max``, ``+`` and the multiply by 0/1 give the same bits as the
+        reference's masked ``where`` form.
+        """
+        # (gate_count, n_instances, 1): one delay column per gate.
+        delay_columns = delays.T[:, :, None].copy()
         arrival = np.zeros(
-            (changed.shape[0], n_instances, changed.shape[1]), dtype=float
+            (changed.shape[0], delays.shape[0], changed.shape[1]), dtype=float
         )
-        for group in self._groups:
-            gathered = arrival[group.input_nets]
-            mask = changed[group.input_nets][:, :, None, :]
-            contribution = np.where(mask, gathered, 0.0)
-            input_arrival = contribution.max(axis=0)
-            group_delays = delays[:, group.topo_indices].T[:, :, None]
-            arrival[group.output_nets] = np.where(
-                changed[group.output_nets][:, None, :],
-                input_arrival + group_delays,
-                0.0,
-            )
+        maximum = np.maximum
+        for output, first, last, middle, gate in self._arrival_program:
+            row = arrival[output]
+            maximum(arrival[first], arrival[last], out=row)
+            for pin in middle:
+                maximum(row, arrival[pin], out=row)
+            row += delay_columns[gate]
+            row *= changed[output]
         return arrival
 
     def static_arrival_pass(self, gate_delays: np.ndarray) -> np.ndarray:

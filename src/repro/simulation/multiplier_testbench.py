@@ -15,7 +15,8 @@ sweep orchestrator shards multiplier grids exactly like adder grids.
 
 from __future__ import annotations
 
-from typing import Iterable
+import functools
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -103,6 +104,32 @@ class MultiplierTestbench:
             int_to_bits(exact, self._multiplier.output_width),
         )
 
+    def prepare_sweep(
+        self, in1: np.ndarray, in2: np.ndarray
+    ) -> Callable[..., list[TriadMeasurement]]:
+        """Compute the triad-independent state of one operand stream once.
+
+        Mirrors :meth:`repro.simulation.testbench.AdderTestbench.prepare_sweep`
+        with the exact product as the golden reference.
+        """
+        in1_arr = np.asarray(in1, dtype=np.int64)
+        in2_arr = np.asarray(in2, dtype=np.int64)
+        if in1_arr.shape != in2_arr.shape:
+            raise ValueError("in1 and in2 must have the same shape")
+        exact = self._multiplier.exact_product(in1_arr, in2_arr)
+        return functools.partial(
+            sweep_measurements,
+            self._simulator,
+            self._multiplier.name,
+            self._simulator.bind(
+                self._multiplier.input_assignment(in1_arr, in2_arr)
+            ),
+            in1_arr,
+            in2_arr,
+            exact,
+            int_to_bits(exact, self._multiplier.output_width),
+        )
+
     def run_sweep(
         self,
         in1: np.ndarray,
@@ -114,24 +141,10 @@ class MultiplierTestbench:
         """Apply one operand stream under every triad of a sweep.
 
         ``triads`` is any iterable of objects with ``tclk`` / ``vdd`` /
-        ``vbb`` attributes.  The operand-to-port binding and the golden
-        product (with its bit matrix) are computed once for the whole sweep;
-        the simulator additionally reuses settled bits per pattern set and
-        arrival times per ``(vdd, vbb)`` pair, exactly like the adder sweep.
+        ``vbb`` attributes.  The stimulus binding and the golden product
+        (with its bit matrix) are computed once for the whole sweep (see
+        :meth:`prepare_sweep`); the simulator additionally reuses settled
+        bits per pattern set and arrival times per ``(vdd, vbb)`` pair,
+        exactly like the adder sweep.
         """
-        in1_arr = np.asarray(in1, dtype=np.int64)
-        in2_arr = np.asarray(in2, dtype=np.int64)
-        if in1_arr.shape != in2_arr.shape:
-            raise ValueError("in1 and in2 must have the same shape")
-        exact = self._multiplier.exact_product(in1_arr, in2_arr)
-        return sweep_measurements(
-            self._simulator,
-            self._multiplier.name,
-            self._multiplier.input_assignment(in1_arr, in2_arr),
-            in1_arr,
-            in2_arr,
-            exact,
-            int_to_bits(exact, self._multiplier.output_width),
-            triads,
-            use_reference=use_reference,
-        )
+        return self.prepare_sweep(in1, in2)(triads, use_reference=use_reference)

@@ -11,7 +11,8 @@ bit-wise error probability, energy efficiency).
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
+import functools
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -141,6 +142,34 @@ class AdderTestbench:
         result = simulate(assignment, tclk=tclk, vdd=vdd, vbb=vbb)
         return self._to_measurement(in1_arr, in2_arr, result, tclk, vdd, vbb)
 
+    def prepare_sweep(
+        self, in1: np.ndarray, in2: np.ndarray
+    ) -> Callable[..., list[TriadMeasurement]]:
+        """Compute the triad-independent state of one operand stream once.
+
+        Returns ``measure(triads, *, use_reference=False)``, which runs
+        :func:`sweep_measurements` on that state: the operand-to-port
+        binding and its fingerprint (:meth:`VosTimingSimulator.bind`), the
+        golden sum and its bit matrix.  A sweep split into several work
+        items (one per ``(vdd, vbb)`` group) prepares once and measures per
+        item.
+        """
+        in1_arr = np.asarray(in1, dtype=np.int64)
+        in2_arr = np.asarray(in2, dtype=np.int64)
+        if in1_arr.shape != in2_arr.shape:
+            raise ValueError("in1 and in2 must have the same shape")
+        exact = self._adder.exact_sum(in1_arr, in2_arr)
+        return functools.partial(
+            sweep_measurements,
+            self._simulator,
+            self._adder.name,
+            self._simulator.bind(self._adder.input_assignment(in1_arr, in2_arr)),
+            in1_arr,
+            in2_arr,
+            exact,
+            _exact_bits(exact, self._adder.output_width),
+        )
+
     def run_sweep(
         self,
         in1: np.ndarray,
@@ -154,27 +183,11 @@ class AdderTestbench:
         ``triads`` is any iterable of objects with ``tclk`` / ``vdd`` /
         ``vbb`` attributes (e.g. :class:`repro.core.triad.OperatingTriad`).
         Everything that does not depend on the triad is computed once for the
-        whole sweep: the operand-to-port binding, the golden sum and its bit
-        matrix, and -- inside the simulator -- the settled bits and the
-        per-``(vdd, vbb)`` arrival times, so a triad differing only in
-        ``tclk`` costs one latch comparison.
+        whole sweep (see :meth:`prepare_sweep`) -- and inside the simulator,
+        the settled bits and the per-``(vdd, vbb)`` arrival times -- so a
+        triad differing only in ``tclk`` costs one latch comparison.
         """
-        in1_arr = np.asarray(in1, dtype=np.int64)
-        in2_arr = np.asarray(in2, dtype=np.int64)
-        if in1_arr.shape != in2_arr.shape:
-            raise ValueError("in1 and in2 must have the same shape")
-        exact = self._adder.exact_sum(in1_arr, in2_arr)
-        return sweep_measurements(
-            self._simulator,
-            self._adder.name,
-            self._adder.input_assignment(in1_arr, in2_arr),
-            in1_arr,
-            in2_arr,
-            exact,
-            _exact_bits(exact, self._adder.output_width),
-            triads,
-            use_reference=use_reference,
-        )
+        return self.prepare_sweep(in1, in2)(triads, use_reference=use_reference)
 
     def _to_measurement(
         self,
@@ -234,7 +247,7 @@ def measurement_from_result(
 def sweep_measurements(
     simulator: VosTimingSimulator,
     name: str,
-    assignment: dict[str, np.ndarray],
+    assignment: Mapping[str, np.ndarray],
     in1: np.ndarray,
     in2: np.ndarray,
     exact: np.ndarray,
@@ -246,14 +259,19 @@ def sweep_measurements(
     """Run one operand stream under every triad of a sweep.
 
     The triad-independent state (port binding, golden words and bit matrix)
-    is taken pre-computed; the simulator adds its own sweep-level reuse
+    is taken pre-computed; ``assignment`` is bound and fingerprinted once
+    for all triads (:meth:`VosTimingSimulator.bind`, a no-op on an already
+    bound record), and the simulator adds its own sweep-level reuse
     (settled bits per pattern set, arrivals per ``(vdd, vbb)``).  Shared by
     the adder and multiplier testbenches.
     """
-    simulate = simulator.run_reference if use_reference else simulator.run
+    if use_reference:
+        simulate, stimulus = simulator.run_reference, assignment
+    else:
+        simulate, stimulus = simulator.run, simulator.bind(assignment)
     measurements = []
     for triad in triads:
-        result = simulate(assignment, tclk=triad.tclk, vdd=triad.vdd, vbb=triad.vbb)
+        result = simulate(stimulus, tclk=triad.tclk, vdd=triad.vdd, vbb=triad.vbb)
         measurements.append(
             measurement_from_result(
                 name, in1, in2, result, triad.tclk, triad.vdd, triad.vbb,

@@ -42,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from collections import OrderedDict
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -117,9 +117,16 @@ def _net_loads(netlist: Netlist, library: StandardCellLibrary) -> np.ndarray:
     return engine.net_loads(netlist, library)
 
 
-@dataclasses.dataclass(frozen=True)
-class _StimulusRecord:
-    """Triad-independent state of one pattern set (cached per simulator).
+@dataclasses.dataclass(frozen=True, eq=False)
+class StimulusRecord(Mapping[str, np.ndarray]):
+    """Triad-independent state of one bound pattern set.
+
+    Returned by :meth:`VosTimingSimulator.bind` (and cached per simulator);
+    :meth:`VosTimingSimulator.run` and
+    :meth:`VosTimingSimulator.run_variation_sweep` accept it in place of the
+    input mapping, which skips re-binding and re-fingerprinting the stimulus
+    on every triad of a sweep.  As a mapping it reads as the bound
+    current-cycle input arrays by port name.
 
     ``changed`` holds the toggle mask of every net -- the sensitisation
     information all arrival/energy computations run on; settled/stale bits
@@ -128,9 +135,20 @@ class _StimulusRecord:
 
     key: bytes
     n_vectors: int
+    inputs: Mapping[str, np.ndarray]
     changed: np.ndarray
     settled_bits: np.ndarray
     stale_bits: np.ndarray
+    owner: object = dataclasses.field(repr=False)
+
+    def __getitem__(self, port: str) -> np.ndarray:
+        return self.inputs[port]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.inputs)
+
+    def __len__(self) -> int:
+        return len(self.inputs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -290,7 +308,10 @@ class VosTimingSimulator:
         self._output_nets = tuple(all_outputs[port] for port in output_ports)
         self._output_net_array = np.array(self._output_nets, dtype=np.intp)
         self._annotation_cache: dict[tuple[float, float], TimingAnnotation] = {}
-        self._stimulus_cache: "OrderedDict[bytes, _StimulusRecord]" = OrderedDict()
+        self._stimulus_cache: "OrderedDict[bytes, StimulusRecord]" = OrderedDict()
+        # Identity of this simulator in the records it binds (the settled
+        # bits and toggle masks are only valid for its netlist and ports).
+        self._owner = object()
         self._timing_cache: (
             "OrderedDict[tuple[bytes, float, float], _TimingRecord]"
         ) = OrderedDict()
@@ -316,7 +337,7 @@ class VosTimingSimulator:
 
     def run(
         self,
-        inputs: Mapping[str, np.ndarray],
+        inputs: Mapping[str, np.ndarray] | StimulusRecord,
         tclk: float,
         vdd: float,
         vbb: float = 0.0,
@@ -328,7 +349,10 @@ class VosTimingSimulator:
         ----------
         inputs:
             Mapping from primary-input port name to a boolean array of shape
-            ``(n_vectors,)`` -- the vector applied at each cycle.
+            ``(n_vectors,)`` -- the vector applied at each cycle -- or a
+            :class:`StimulusRecord` this simulator returned from
+            :meth:`bind` (a sweep binds once and passes the record to every
+            triad).
         tclk:
             Clock period in seconds.
         vdd, vbb:
@@ -338,11 +362,12 @@ class VosTimingSimulator:
             itself provides them (vector ``k-1`` precedes vector ``k``; the
             first vector's predecessor is the all-zero vector), matching how
             the paper streams 20 K patterns through the SPICE testbench.
+            Must be ``None`` when ``inputs`` is a bound record.
         """
         if tclk <= 0:
             raise ValueError("tclk must be positive")
         annotation = self.annotation(vdd, vbb)
-        stimulus = self._stimulus(inputs, previous_inputs)
+        stimulus = self.bind(inputs, previous_inputs)
         timing = self._timing(stimulus, vdd, vbb, annotation)
 
         on_time = timing.arrival_bits <= tclk
@@ -437,7 +462,7 @@ class VosTimingSimulator:
 
     def run_variation_sweep(
         self,
-        inputs: Mapping[str, np.ndarray],
+        inputs: Mapping[str, np.ndarray] | StimulusRecord,
         tclks: Sequence[float],
         vdd: float,
         vbb: float = 0.0,
@@ -487,7 +512,7 @@ class VosTimingSimulator:
             )
         if np.any(multipliers <= 0):
             raise ValueError("delay multipliers must be positive")
-        stimulus = self._stimulus(inputs, previous_inputs)
+        stimulus = self.bind(inputs, previous_inputs)
 
         gate_delays = annotation.gate_delays[None, :] * multipliers
         with span(
@@ -543,7 +568,7 @@ class VosTimingSimulator:
 
     def run_variation(
         self,
-        inputs: Mapping[str, np.ndarray],
+        inputs: Mapping[str, np.ndarray] | StimulusRecord,
         tclk: float,
         vdd: float,
         vbb: float = 0.0,
@@ -564,11 +589,28 @@ class VosTimingSimulator:
 
     # -- cached sweep state ----------------------------------------------------
 
-    def _stimulus(
+    def bind(
         self,
-        inputs: Mapping[str, np.ndarray],
-        previous_inputs: Mapping[str, np.ndarray] | None,
-    ) -> _StimulusRecord:
+        inputs: Mapping[str, np.ndarray] | StimulusRecord,
+        previous_inputs: Mapping[str, np.ndarray] | None = None,
+    ) -> StimulusRecord:
+        """Bind a pattern set to the netlist and return its cached record.
+
+        Binds the ports, derives the previous-cycle vectors (see
+        :meth:`run`), fingerprints the pair and returns the cached
+        :class:`StimulusRecord`, running the two bit-packed golden
+        simulations on a miss.  A sweep calls this once and hands the record
+        to :meth:`run` for every triad; a record this simulator bound is
+        returned as is.
+        """
+        if isinstance(inputs, StimulusRecord):
+            if inputs.owner is not self._owner:
+                raise ValueError("stimulus record was bound by another simulator")
+            if previous_inputs is not None:
+                raise ValueError(
+                    "previous_inputs must be None for a bound stimulus record"
+                )
+            return inputs
         current = self._bind_inputs(inputs)
         previous = (
             self._bind_inputs(previous_inputs)
@@ -600,12 +642,15 @@ class VosTimingSimulator:
         )
         for array in (changed, settled, stale):
             array.setflags(write=False)
-        record = _StimulusRecord(
+        ports = self._netlist.primary_inputs
+        record = StimulusRecord(
             key=key,
             n_vectors=n_vectors,
+            inputs={port: current[net] for port, net in ports.items()},
             changed=changed,
             settled_bits=settled,
             stale_bits=stale,
+            owner=self._owner,
         )
         self._stimulus_cache[key] = record
         while len(self._stimulus_cache) > _STIMULUS_CACHE_SIZE:
@@ -614,7 +659,7 @@ class VosTimingSimulator:
 
     def _timing(
         self,
-        stimulus: _StimulusRecord,
+        stimulus: StimulusRecord,
         vdd: float,
         vbb: float,
         annotation: TimingAnnotation,

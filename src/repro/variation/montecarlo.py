@@ -162,7 +162,8 @@ class _RangeKernel:
             output_ports=circuit.output_ports(),
             library=self.library,
         )
-        assignment = circuit.input_assignment(self.in1, self.in2)
+        # Bound once: every range and operating point reuses the record.
+        stimulus = simulator.bind(circuit.input_assignment(self.in1, self.in2))
         exact_bits = int_to_bits(
             _exact_words(circuit, self.in1, self.in2), circuit.output_width
         )
@@ -184,7 +185,7 @@ class _RangeKernel:
             payloads: dict[int, dict[str, Any]] = {}
             for (vdd, vbb), indices in groups.items():
                 results = simulator.run_variation_sweep(
-                    assignment,
+                    stimulus,
                     [self.triads[index].tclk for index in indices],
                     vdd,
                     vbb,

@@ -12,6 +12,7 @@ import pytest
 
 from repro.circuits.adders import build_adder
 from repro.core.characterization import AdderCharacterization, CharacterizationFlow
+from repro.simulation import timing_sim
 from repro.simulation.patterns import PatternConfig
 from repro.simulation.testbench import AdderTestbench
 
@@ -75,3 +76,21 @@ def random_operand_batch():
     """Reusable batch of random 8-bit operand pairs."""
     rng = np.random.default_rng(123)
     return rng.integers(0, 256, 2000), rng.integers(0, 256, 2000)
+
+
+@pytest.fixture
+def fingerprint_calls(monkeypatch):
+    """Records each stimulus fingerprint the timing simulator computes.
+
+    A fingerprint is taken every time a stimulus is bound, so the length of
+    the returned list counts binds.
+    """
+    calls = []
+    original = timing_sim._pattern_fingerprint
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(timing_sim, "_pattern_fingerprint", counting)
+    return calls

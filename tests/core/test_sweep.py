@@ -113,6 +113,19 @@ class TestCircuitSpec:
 
 
 class TestCharacterizationSweep:
+    def test_in_process_sweep_binds_its_stimulus_once(
+        self, small_grid, small_pattern, fingerprint_calls
+    ):
+        """One bind for the whole sweep, not one per ``(vdd, vbb)`` item."""
+        in1, in2 = generate_patterns(small_pattern)
+        payloads = run_characterization_sweep(
+            build_adder("rca", 8), small_grid, in1, in2,
+            pattern_stimulus(small_pattern),
+        )
+        assert len(payloads) == len(small_grid)
+        assert len({(t.vdd, t.vbb) for t in small_grid}) > 1
+        assert len(fingerprint_calls) == 1
+
     def test_parallel_results_bit_identical_to_serial(self, small_grid, small_pattern):
         adder = build_adder("rca", 8)
         in1, in2 = generate_patterns(small_pattern)

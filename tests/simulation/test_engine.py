@@ -30,6 +30,17 @@ WIDTHS = (4, 8)
 #: packed tail-word handling.
 N_VECTORS = 257
 
+#: Well above the small-batch range, also with a partial tail word.
+LARGE_N_VECTORS = 4099
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Float arrays equal bit for bit (``array_equal`` treats -0.0 == 0.0)."""
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64),
+        np.ascontiguousarray(b).view(np.uint64),
+    )
+
 
 def _operands(width: int, n: int = N_VECTORS, seed: int = 99):
     rng = np.random.default_rng(seed + width)
@@ -147,6 +158,23 @@ class TestTimingParity:
             )
             assert np.array_equal(compiled.static_energy, reference.static_energy)
 
+    def test_large_batch_matches_reference_bit_for_bit(self, architecture):
+        adder = build_adder(architecture, 8)
+        simulator = VosTimingSimulator(
+            adder.netlist, output_ports=adder.output_ports()
+        )
+        assignment = adder.input_assignment(*_operands(8, n=LARGE_N_VECTORS))
+        tclk = simulator.annotation(1.0, 0.0).critical_path_delay * 0.55
+        for vdd, vbb in ((0.6, 0.0), (0.5, 2.0)):
+            compiled = simulator.run(assignment, tclk=tclk, vdd=vdd, vbb=vbb)
+            reference = simulator.run_reference(
+                assignment, tclk=tclk, vdd=vdd, vbb=vbb
+            )
+            assert compiled.n_vectors == LARGE_N_VECTORS
+            assert _same_bits(compiled.arrival_times, reference.arrival_times)
+            assert np.array_equal(compiled.latched_bits, reference.latched_bits)
+            assert _same_bits(compiled.dynamic_energy, reference.dynamic_energy)
+
     def test_explicit_previous_inputs_parity(self):
         adder = build_adder("bka", 8)
         simulator = VosTimingSimulator(
@@ -164,6 +192,32 @@ class TestTimingParity:
         assert np.array_equal(compiled.latched_bits, reference.latched_bits)
         assert np.array_equal(compiled.arrival_times, reference.arrival_times)
         assert np.array_equal(compiled.dynamic_energy, reference.dynamic_energy)
+
+
+class TestArrivalPass:
+    @pytest.mark.parametrize("n", [N_VECTORS, LARGE_N_VECTORS])
+    def test_quiet_nets_have_positive_zero_arrival(self, architecture, n):
+        """The invariant that lets the recurrence skip input toggle masks.
+
+        Every net that does not toggle must hold exactly +0.0: then the
+        maximum over a gate's raw pin rows equals the maximum over its
+        toggling pins, as in the per-gate reference.
+        """
+        adder = build_adder(architecture, 8)
+        simulator = VosTimingSimulator(
+            adder.netlist, output_ports=adder.output_ports()
+        )
+        plan = engine.compile_plan(adder.netlist)
+        stimulus = simulator.bind(adder.input_assignment(*_operands(8, n=n)))
+        rng = np.random.default_rng(n)
+        for vdd, vbb in zip(rng.uniform(0.4, 1.0, 3), rng.uniform(-2.0, 2.0, 3)):
+            delays = simulator.annotation(vdd, vbb).gate_delays
+            arrival = plan.arrival_pass(stimulus.changed, delays)
+            quiet = ~stimulus.changed
+            assert np.all(arrival[quiet] == 0.0)
+            assert not np.any(np.signbit(arrival[quiet]))
+            outputs = plan.gate_output_nets
+            assert np.all(arrival[outputs][stimulus.changed[outputs]] > 0.0)
 
 
 class TestAnnotationParity:

@@ -105,6 +105,18 @@ class TestMultiplierSweep:
                 == reference.dynamic_energy_per_operation
             )
 
+    def test_sweep_binds_its_stimulus_once(self, mul_operands, fingerprint_calls):
+        from repro.core.triad import benchmark_triad_grid
+
+        testbench = MultiplierTestbench(array_multiplier(4))
+        critical_ns = testbench.nominal_critical_path() * 1e9
+        grid = benchmark_triad_grid(
+            [critical_ns * ratio for ratio in (1.8, 1.0, 0.85, 0.7)]
+        )
+        measurements = testbench.run_sweep(*mul_operands, grid)
+        assert len(measurements) == len(grid) == 43
+        assert len(fingerprint_calls) == 1
+
     def test_sweep_shape_mismatch_rejected(self, mul4_testbench):
         with pytest.raises(ValueError, match="same shape"):
             mul4_testbench.run_sweep(np.array([1, 2]), np.array([1]), [])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.triad import matched_triad_grid
 from repro.simulation.testbench import AdderTestbench
 
 
@@ -47,3 +48,12 @@ class TestAdderTestbench:
     def test_adder_and_simulator_exposed(self, rca8_testbench, rca8):
         assert rca8_testbench.adder is rca8
         assert rca8_testbench.simulator.netlist is rca8.netlist
+
+    def test_sweep_binds_its_stimulus_once(
+        self, rca8, random_operand_batch, fingerprint_calls
+    ):
+        testbench = AdderTestbench(rca8)
+        grid = matched_triad_grid("rca8", testbench.nominal_critical_path())
+        measurements = testbench.run_sweep(*random_operand_batch, grid)
+        assert len(measurements) == len(grid) == 43
+        assert len(fingerprint_calls) == 1

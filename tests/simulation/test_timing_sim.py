@@ -151,6 +151,53 @@ class TestVosTimingSimulation:
         assert result.n_vectors == in1.size
 
 
+class TestBind:
+    def test_run_on_a_bound_record_matches_run_on_the_mapping(
+        self, rca8, rca8_simulator, operands
+    ):
+        assignment = rca8.input_assignment(*operands)
+        stimulus = rca8_simulator.bind(assignment)
+        assert stimulus.n_vectors == operands[0].size
+        # As a mapping the record reads as the bound inputs by port.
+        assert set(stimulus) == set(rca8.netlist.primary_inputs)
+        assert np.array_equal(stimulus["a0"], assignment["a0"])
+        for vdd in (1.0, 0.6):
+            bound = rca8_simulator.run(stimulus, tclk=0.3e-9, vdd=vdd)
+            plain = rca8_simulator.run(assignment, tclk=0.3e-9, vdd=vdd)
+            assert np.array_equal(bound.latched_bits, plain.latched_bits)
+            assert np.array_equal(bound.arrival_times, plain.arrival_times)
+            assert np.array_equal(bound.dynamic_energy, plain.dynamic_energy)
+
+    def test_bind_is_cached_and_idempotent(self, rca8, rca8_simulator, operands):
+        assignment = rca8.input_assignment(*operands)
+        stimulus = rca8_simulator.bind(assignment)
+        assert rca8_simulator.bind(assignment) is stimulus
+        assert rca8_simulator.bind(stimulus) is stimulus
+
+    def test_explicit_previous_inputs_are_part_of_the_record(
+        self, rca8, rca8_simulator, operands
+    ):
+        current = rca8.input_assignment(*operands)
+        previous = rca8.input_assignment(operands[1], operands[0])
+        stimulus = rca8_simulator.bind(current, previous)
+        assert stimulus is not rca8_simulator.bind(current)
+        bound = rca8_simulator.run(stimulus, tclk=0.3e-9, vdd=0.6)
+        plain = rca8_simulator.run(
+            current, tclk=0.3e-9, vdd=0.6, previous_inputs=previous
+        )
+        assert np.array_equal(bound.latched_bits, plain.latched_bits)
+        with pytest.raises(ValueError, match="previous_inputs"):
+            rca8_simulator.run(
+                stimulus, tclk=0.3e-9, vdd=0.6, previous_inputs=previous
+            )
+
+    def test_record_of_another_simulator_rejected(self, rca8, rca8_simulator, operands):
+        other = VosTimingSimulator(rca8.netlist, output_ports=rca8.output_ports()[:4])
+        stimulus = other.bind(rca8.input_assignment(*operands))
+        with pytest.raises(ValueError, match="another simulator"):
+            rca8_simulator.run(stimulus, tclk=0.3e-9, vdd=0.6)
+
+
 class TestEnergyVoltageScaling:
     def test_energy_per_operation_drops_quadratically_with_vdd(self, rca8, rca8_simulator, operands):
         in1, in2 = operands

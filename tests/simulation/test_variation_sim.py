@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.circuits.adders import build_adder
+from repro.circuits.adders import ADDER_GENERATORS, build_adder
 from repro.simulation import engine
 from repro.simulation.timing_sim import VosTimingSimulator
 from repro.technology.corners import ProcessCorner, corner_library
@@ -21,23 +21,33 @@ def bka8_setup():
 
 
 class TestBatchedArrivalPass:
-    def test_single_instance_is_bit_identical_with_arrival_pass(self, bka8_setup):
-        adder, simulator, assignment = bka8_setup
-        plan = engine.compile_plan(adder.netlist)
-        annotation = simulator.annotation(0.6, 0.0)
-        stimulus = simulator._stimulus(assignment, None)
-        single = plan.arrival_pass(stimulus.changed, annotation.gate_delays)
-        batched = plan.batched_arrival_pass(
-            stimulus.changed, annotation.gate_delays[None, :]
+    @pytest.mark.parametrize("architecture", sorted(ADDER_GENERATORS))
+    @pytest.mark.parametrize("n", [257, 4099])
+    def test_single_instance_is_bit_identical_with_arrival_pass(self, architecture, n):
+        adder = build_adder(architecture, 8)
+        simulator = VosTimingSimulator(adder.netlist, output_ports=adder.output_ports())
+        rng = np.random.default_rng(n)
+        stimulus = simulator.bind(
+            adder.input_assignment(
+                rng.integers(0, 256, n, dtype=np.int64),
+                rng.integers(0, 256, n, dtype=np.int64),
+            )
         )
-        assert batched.shape == (single.shape[0], 1, single.shape[1])
-        assert np.array_equal(batched[:, 0, :], single)
+        plan = engine.compile_plan(adder.netlist)
+        delays = simulator.annotation(0.55, 2.0).gate_delays
+        single = plan.arrival_pass(stimulus.changed, delays)
+        batched = plan.batched_arrival_pass(stimulus.changed, delays[None, :])
+        assert batched.shape == (single.shape[0], 1, n)
+        assert np.array_equal(
+            np.ascontiguousarray(batched[:, 0, :]).view(np.uint64),
+            np.ascontiguousarray(single).view(np.uint64),
+        )
 
     def test_batch_rows_match_independent_passes(self, bka8_setup):
         adder, simulator, assignment = bka8_setup
         plan = engine.compile_plan(adder.netlist)
         annotation = simulator.annotation(0.6, 0.0)
-        stimulus = simulator._stimulus(assignment, None)
+        stimulus = simulator.bind(assignment)
         rng = np.random.default_rng(2)
         matrix = annotation.gate_delays[None, :] * rng.lognormal(
             0.0, 0.1, size=(4, plan.gate_count)
@@ -50,7 +60,7 @@ class TestBatchedArrivalPass:
     def test_wrong_delay_shape_rejected(self, bka8_setup):
         adder, simulator, assignment = bka8_setup
         plan = engine.compile_plan(adder.netlist)
-        stimulus = simulator._stimulus(assignment, None)
+        stimulus = simulator.bind(assignment)
         with pytest.raises(ValueError):
             plan.batched_arrival_pass(
                 stimulus.changed, np.ones(plan.gate_count)
