@@ -22,6 +22,7 @@ Two measurements, persisted so future PRs have a perf trajectory:
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -45,7 +46,9 @@ GOLDEN_MIN_VECTORS = 65536
 PACKED_SPEEDUP_FLOOR = 5.0
 RELAXED_SPEEDUP_FLOOR = 2.0
 
-_REPEATS = 5
+#: Timing rounds of the golden paths.  Odd, so a median is one round's
+#: value.
+_ROUNDS = 51
 
 
 def _speedup_floor() -> float:
@@ -54,14 +57,27 @@ def _speedup_floor() -> float:
     return PACKED_SPEEDUP_FLOOR
 
 
-def _best_time(function, repeats: int = _REPEATS) -> float:
-    function()  # warm-up (plan compilation, caches)
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _interleaved_times(functions, rounds: int = _ROUNDS) -> list[list[float]]:
+    """Per-round wall times of each function, all timed in turn every round.
+
+    The runs are milliseconds long, so a load spike or clock change can
+    cover a whole block of repeats of one path.  Interleaving puts every
+    path of a round under the same machine state, and the median of the
+    per-round ratios discards the rounds a spike did hit.
+    """
+    for function in functions:
+        function()  # warm-up (plan compilation, caches)
+    times: list[list[float]] = [[] for _ in functions]
+    for _ in range(rounds):
+        for function, samples in zip(functions, times):
+            start = time.perf_counter()
+            function()
+            samples.append(time.perf_counter() - start)
+    return times
+
+
+def _median_ratio(numerators: list[float], denominators: list[float]) -> float:
+    return statistics.median(n / d for n, d in zip(numerators, denominators))
 
 
 def _seed_assignment(adder, in1: np.ndarray, in2: np.ndarray) -> dict:
@@ -102,26 +118,32 @@ def test_engine_throughput(benchmark):
     for port, net in adder.netlist.primary_outputs.items():
         assert np.array_equal(packed_outputs[port], seed_values[net])
 
-    t_seed = _best_time(lambda: simulator.run_reference(seed_assignment))
-    t_reference = _best_time(lambda: simulator.run_reference(assignment))
-    t_compiled = _best_time(lambda: simulator.run(assignment))
-    t_packed = _best_time(lambda: simulator.run_outputs(assignment))
-    packed_speedup = t_seed / t_packed
+    seed_times, reference_times, compiled_times, packed_times = _interleaved_times(
+        [
+            lambda: simulator.run_reference(seed_assignment),
+            lambda: simulator.run_reference(assignment),
+            lambda: simulator.run(assignment),
+            lambda: simulator.run_outputs(assignment),
+        ]
+    )
+    packed_speedup = _median_ratio(seed_times, packed_times)
+    compiled_speedup = _median_ratio(seed_times, compiled_times)
 
     lines = [
         "Engine throughput: 8-bit RCA golden (zero-delay) simulation",
-        f"vectors per run: {n_golden}",
+        f"vectors per run: {n_golden}; median of {_ROUNDS} interleaved rounds",
         f"{'path':<38}{'time [us]':>12}{'vectors/s':>16}{'vs seed':>9}",
     ]
-    for label, seconds in (
-        ("seed per-gate loop (strided layout)", t_seed),
-        ("per-gate reference (bit-major layout)", t_reference),
-        ("compiled level-packed (bool)", t_compiled),
-        ("compiled bit-packed (uint64 words)", t_packed),
+    for label, samples in (
+        ("seed per-gate loop (strided layout)", seed_times),
+        ("per-gate reference (bit-major layout)", reference_times),
+        ("compiled level-packed (bool)", compiled_times),
+        ("compiled bit-packed (uint64 words)", packed_times),
     ):
+        seconds = statistics.median(samples)
         lines.append(
             f"{label:<38}{seconds * 1e6:>12.0f}{n_golden / seconds:>16,.0f}"
-            f"{t_seed / seconds:>8.1f}x"
+            f"{_median_ratio(seed_times, samples):>8.1f}x"
         )
 
     # Characterization sweep (the Fig. 4 flow) at the harness vector count.
@@ -163,10 +185,10 @@ def test_engine_throughput(benchmark):
         "engine_throughput",
         [
             Metric("packed_golden_speedup", packed_speedup, "x", kind="ratio"),
-            Metric("compiled_golden_speedup", t_seed / t_compiled, "x", kind="ratio"),
+            Metric("compiled_golden_speedup", compiled_speedup, "x", kind="ratio"),
             Metric("sweep_engine_speedup", sweep_speedup, "x", kind="ratio"),
-            Metric("golden_packed_s", t_packed, "s", kind="time"),
-            Metric("golden_seed_s", t_seed, "s", kind="time"),
+            Metric("golden_packed_s", statistics.median(packed_times), "s", kind="time"),
+            Metric("golden_seed_s", statistics.median(seed_times), "s", kind="time"),
             Metric("sweep_engine_s", t_sweep_engine, "s", kind="time"),
         ],
         vectors=n_golden,

@@ -83,7 +83,11 @@ from repro.core.resilience import (
     ShardExecutionError,
 )
 from repro.core.speculation import DynamicSpeculationController
-from repro.core.store import MemoryOverlayStore, SweepResultStore
+from repro.core.store import (
+    MemoryOverlayStore,
+    SweepResultStore,
+    UnmigratedStoreError,
+)
 from repro.core.triad import OperatingTriad, TriadGrid
 from repro.explore.evaluator import CandidateEvaluator, robust_tag
 from repro.explore.frontier import ParetoFrontier
@@ -372,6 +376,9 @@ class Session:
         (:class:`~repro.core.resilience.ShardExecutionError`) surfaces as a
         :class:`SessionError`: the caller chose the policy (e.g.
         ``on_worker_failure="fail"``), so the failure is theirs to handle.
+        A store root still in the v1 layout
+        (:class:`~repro.core.store.UnmigratedStoreError`) does too; its
+        message names ``repro store migrate``.
 
         Every result carries a :class:`~repro.obs.report.RunReport` in its
         ``run`` field -- counter-only work accounting that is identical
@@ -400,6 +407,8 @@ class Session:
                 result = handler(self, job)
             except ShardExecutionError as error:
                 raise SessionError(f"sweep execution failed: {error}") from None
+            except UnmigratedStoreError as error:
+                raise SessionError(str(error)) from None
         store_delta = None
         if store is not None and store_before is not None:
             after = store.stats._values()
@@ -772,7 +781,10 @@ class Session:
     def _run_batch_body(self, job_list: list[Job], session_span: Any) -> BatchResult:
         start = sweep_module.simulated_unit_count()
         execution = ExecutionReport()
-        planned, deduped, cache_hits = self._execute_plan(job_list, execution)
+        try:
+            planned, deduped, cache_hits = self._execute_plan(job_list, execution)
+        except UnmigratedStoreError as error:
+            raise SessionError(str(error)) from None
         session_span.set(planned=planned, deduped=deduped, cache_hits=cache_hits)
         metrics.REGISTRY.counter("batch.planned_units").add(planned)
         metrics.REGISTRY.counter("batch.deduped_units").add(deduped)

@@ -422,8 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_dir_argument(store_verify)
     store_migrate = store_commands.add_parser(
         "migrate",
-        help="repack legacy per-entry JSON stores into the current packfile "
-        "layout (lossless; unreadable entries are quarantined)",
+        help="repack a legacy per-entry JSON store into the current packfile "
+        "layout, once, before it can be used (lossless; unreadable entries "
+        "are quarantined)",
     )
     _add_store_dir_argument(store_migrate)
     store_prune = store_commands.add_parser(

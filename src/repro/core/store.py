@@ -28,14 +28,16 @@ Design points:
   writing process's pid plus a random token, so concurrent sessions never
   share a write file and readers pick up each other's appends by re-reading
   the grown index files.
-* **v1 compatibility.**  The previous layout (one atomic JSON document per
-  entry fanned out over 256 two-hex subdirectories) is still read through:
-  a key missing from the pack index falls back to the v1 file, with the old
-  corruption handling intact.  :meth:`migrate` converts a v1 store in place
-  (``repro store migrate``); entry *keys* are unchanged -- the hash still
-  mixes :data:`STORE_FORMAT_VERSION` ``= 1`` -- so a migrated store keeps
-  every warm hit.  :data:`STORE_VERSION` ``= 2`` names the container layout
-  only and is recorded in ``<root>/format.json``, never hashed into keys.
+* **v1 stores are migrated, not read.**  The previous layout (one atomic
+  JSON document per entry fanned out over 256 two-hex subdirectories) is
+  read only by :meth:`migrate` (``repro store migrate``), which converts it
+  in place.  On first use a store checks its root for v1 entry files; while
+  any are left, every other public method raises
+  :class:`UnmigratedStoreError` naming that command, before anything is
+  written.  Entry *keys* are unchanged -- the hash still mixes
+  :data:`STORE_FORMAT_VERSION` ``= 1`` -- so a migrated store keeps every
+  warm hit.  :data:`STORE_VERSION` ``= 2`` names the container layout only
+  and is recorded in ``<root>/format.json``, never hashed into keys.
 * **Corruption tolerance.**  A record that fails its CRC or key check is
   quarantined (its bytes copied under ``quarantine/``, never silently
   discarded) and dropped from the index via a durable tombstone line, then
@@ -44,11 +46,11 @@ Design points:
   :attr:`StoreStats.io_errors` so silent degradation is observable in
   ``store stats``, and :meth:`SweepResultStore.verify` offers an explicit
   fsck pass over every record (``store verify``) that also makes tail-scan
-  recoveries durable.  All walks are ENOENT-tolerant: segments or legacy
-  entries deleted by a concurrent session are simply skipped.  ``verify``
-  and ``prune`` rewrite segments and are maintenance operations: run them
-  from one session at a time (readers stay safe throughout -- a stale
-  offset fails validation and reads as a miss, never as wrong data).
+  recoveries durable.  All walks are ENOENT-tolerant: segments deleted by
+  a concurrent session are simply skipped.  ``verify`` and ``prune``
+  rewrite segments and are maintenance operations: run them from one
+  session at a time (readers stay safe throughout -- a stale offset fails
+  validation and reads as a miss, never as wrong data).
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ import hashlib
 import json
 import os
 import pathlib
+import shlex
 from typing import Any, BinaryIO, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -252,8 +255,7 @@ class StoreDiskStats:
     entries:
         Number of stored result entries.
     total_bytes:
-        Bytes occupied by the entry records (pack records plus any
-        unmigrated v1 entry files).
+        Bytes occupied by the entry records.
     oldest_mtime / newest_mtime:
         Store-time range of the entries (Unix seconds), or ``None`` for an
         empty store.
@@ -275,7 +277,7 @@ class StoreVerifyReport:
     Attributes
     ----------
     scanned:
-        Entry records examined (pack records plus v1 entry files).
+        Pack records examined.
     valid:
         Entries that decoded cleanly and matched their key.
     quarantined:
@@ -305,7 +307,9 @@ class StoreMigrateReport:
         Corrupt v1 entries moved into the quarantine directory.
     io_errors:
         Entries left in place because reading or repacking them failed with
-        an OS-level error (they remain readable through the v1 fallback).
+        an OS-level error.  While any v1 file is left the store stays
+        unmigrated (:func:`store_layout_version` reports 1) and refuses
+        every method but another :meth:`~SweepResultStore.migrate`.
     """
 
     migrated: int
@@ -349,22 +353,37 @@ def write_legacy_entry(
     return path
 
 
+class UnmigratedStoreError(ValueError):
+    """The store root still holds v1 entry files: migrate it first.
+
+    Raised by every public :class:`SweepResultStore` method except
+    :meth:`~SweepResultStore.migrate`, before anything is written.
+    """
+
+    def __init__(self, root: pathlib.Path) -> None:
+        super().__init__(
+            f"result store {root} uses the v1 layout; convert it once with: "
+            f"repro store migrate --cache-dir {shlex.quote(str(root))}"
+        )
+
+
 def store_layout_version(root: str | os.PathLike[str]) -> int:
     """Container layout version of a store root.
 
-    Reads ``format.json`` when present; otherwise a root holding v1 entry
-    directories reports 1 and anything else (including an empty or missing
-    root) reports the current :data:`STORE_VERSION`.
+    A root holding any v1 entry file reports 1 -- the rule the store's open
+    check applies, so a root that ``migrate`` stamped but could not fully
+    convert still reports 1.  Otherwise ``format.json`` is read when
+    present, and anything else (including an empty or missing root) reports
+    the current :data:`STORE_VERSION`.
     """
     root = pathlib.Path(root)
+    if any(_iter_legacy_files(root)):
+        return 1
     try:
         document = json.loads((root / FORMAT_FILE).read_text(encoding="utf-8"))
         return int(document["store_version"])
     except (OSError, ValueError, TypeError, KeyError):
-        pass
-    if any(_iter_legacy_files(root)):
-        return 1
-    return STORE_VERSION
+        return STORE_VERSION
 
 
 def _iter_legacy_files(root: pathlib.Path) -> Iterator[pathlib.Path]:
@@ -393,14 +412,15 @@ class SweepResultStore:
     ----------
     root:
         Directory holding the entries.  Created on first write; a missing
-        directory reads as an empty store.
+        directory reads as an empty store.  A root still holding v1 entry
+        files raises :class:`UnmigratedStoreError` from every public method
+        but :meth:`migrate`.
     """
 
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self._root = pathlib.Path(root)
         self.stats = StoreStats()
         self._loaded = False
-        self._legacy = False
         self._index: dict[str, _Location] = {}
         self._segments: dict[str, dict[str, _Location]] = {}
         self._coverage: dict[str, int] = {}
@@ -586,14 +606,25 @@ class SweepResultStore:
         for name in names:
             if name.endswith(".pack"):
                 self._scan_pack_tail(self._packs / name)
-        try:
-            self._legacy = any(True for _ in _iter_legacy_files(self._root))
-        except OSError:
-            self._legacy = False
 
     def _ensure_loaded(self) -> None:
-        if not self._loaded:
+        """First use: refuse an unmigrated v1 root, then load the index.
+
+        A v2 root is listed once per instance; while it holds v1 files
+        every call re-checks, so a root migrated by another process opens.
+        """
+        if self._loaded:
+            return
+        if any(_iter_legacy_files(self._root)):
+            raise UnmigratedStoreError(self._root)
+        self._refresh()
+
+    def _sync(self) -> None:
+        """Bring the index up to date with the disk (open check first)."""
+        if self._loaded:
             self._refresh()
+        else:
+            self._ensure_loaded()
 
     # -- write path ---------------------------------------------------------
 
@@ -759,9 +790,6 @@ class SweepResultStore:
             return None
         return self._decode_chunk(key, location, data)
 
-    def _legacy_path(self, key: str) -> pathlib.Path:
-        return self._root / key[:2] / f"{key}.json"
-
     def _quarantine_legacy(self, path: pathlib.Path) -> bool:
         """Move a corrupt v1 entry aside (keeping its bytes for diagnosis)."""
         target = self._root / QUARANTINE_DIR / (path.name + QUARANTINE_SUFFIX)
@@ -784,46 +812,18 @@ class SweepResultStore:
             self.stats.io_errors += 1
             return False
 
-    def _legacy_get(self, key: str) -> dict[str, Any] | None:
-        """v1 fallback read (counts hits/misses exactly like the old store)."""
-        path = self._legacy_path(key)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except OSError:
-            self.stats.misses += 1
-            self.stats.io_errors += 1
-            return None
-        try:
-            payload = json.loads(text)
-            if not isinstance(payload, dict) or payload.get("key") != key:
-                raise ValueError("entry does not match its key")
-        except (ValueError, TypeError):
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            self._quarantine_legacy(path)
-            return None
-        self.stats.hits += 1
-        # The embedded key is integrity metadata, not part of the payload:
-        # strip it so cached payloads compare equal to freshly computed ones.
-        payload.pop("key", None)
-        return payload
-
     def get(self, key: str) -> dict[str, Any] | None:
         """Fetch an entry payload, or ``None`` on miss.
 
-        Payloads served from pack records carry their binary array fields
-        as raw ``bytes`` rather than base64 text (the array codec accepts
-        both; :func:`repro.core.packfile.encode_blobs` restores the JSON
-        form).  Entries served through the v1 fallback keep base64 text.
+        Payloads carry their binary array fields as raw ``bytes`` rather
+        than base64 text (the array codec accepts both;
+        :func:`repro.core.packfile.encode_blobs` restores the JSON form).
 
         A corrupted record (CRC failure, key mismatch) is quarantined,
         dropped from the index and reported as a miss; OS-level errors also
         degrade to a miss -- counted in :attr:`StoreStats.io_errors` -- so a
-        broken cache never fails the sweep.  Keys absent from the pack index
-        fall back to the v1 per-file layout when one is present.
+        broken cache never fails the sweep.  The pack index is the only
+        lookup: an unmigrated v1 root raises :class:`UnmigratedStoreError`.
         """
         self._ensure_loaded()
         location = self._index.get(key)
@@ -832,8 +832,6 @@ class SweepResultStore:
             self._refresh()
             location = self._index.get(key)
         if location is None:
-            if self._legacy:
-                return self._legacy_get(key)
             self.stats.misses += 1
             return None
         payload = self._read_location(key, location)
@@ -847,22 +845,21 @@ class SweepResultStore:
         """Fetch a batch of entries in one pass; misses are simply absent.
 
         Result-identical to calling :meth:`get` per key -- same payloads,
-        same hit/miss/corruption accounting, same v1 fallback -- but each
-        pack segment is visited once in offset order, and loaded wholesale
-        when the batch covers most of it, instead of seeking per key.  This
-        is the read path of warm sweeps and batch merges, where per-entry
-        seeks dominate on multi-thousand-entry stores.
+        same hit/miss/corruption accounting -- but each pack segment is
+        visited once in offset order, and loaded wholesale when the batch
+        covers most of it, instead of seeking per key.  This is the read
+        path of warm sweeps and batch merges, where per-entry seeks
+        dominate on multi-thousand-entry stores.
         """
         self._ensure_loaded()
         if any(key not in self._index for key in keys):
             # Pick up appends from concurrent sessions before concluding.
             self._refresh()
         by_segment: dict[str, list[tuple[str, _Location]]] = {}
-        absent: list[str] = []
         for key in keys:
             location = self._index.get(key)
             if location is None:
-                absent.append(key)
+                self.stats.misses += 1
             else:
                 by_segment.setdefault(location.segment, []).append(
                     (key, location)
@@ -890,32 +887,18 @@ class SweepResultStore:
                 else:
                     self.stats.hits += 1
                     result[key] = payload
-        for key in absent:
-            if self._legacy:
-                payload = self._legacy_get(key)
-                if payload is not None:
-                    result[key] = payload
-            else:
-                self.stats.misses += 1
         return result
 
     # -- maintenance --------------------------------------------------------
 
     def __len__(self) -> int:
-        self._ensure_loaded()
-        self._refresh()
-        total = len(self._index)
-        if self._legacy:
-            total += sum(1 for _ in _iter_legacy_files(self._root))
-        return total
+        self._sync()
+        return len(self._index)
 
     def entry_keys(self) -> list[str]:
-        """Sorted keys of every stored entry (both layouts)."""
-        self._refresh()
-        keys = set(self._index)
-        if self._legacy:
-            keys.update(path.stem for path in _iter_legacy_files(self._root))
-        return sorted(keys)
+        """Sorted keys of every stored entry."""
+        self._sync()
+        return sorted(self._index)
 
     def snapshot(self) -> dict[str, str]:
         """Canonical-JSON payloads of every entry, keyed by entry key.
@@ -925,7 +908,7 @@ class SweepResultStore:
         two stores holding the same results produce equal snapshots whatever
         container they use.  Corrupt or unreadable entries are skipped.
         """
-        self._refresh()
+        self._sync()
         result: dict[str, str] = {}
         for key in list(self._index):
             location = self._index.get(key)
@@ -934,24 +917,11 @@ class SweepResultStore:
             payload = self._read_location(key, location)
             if payload is not None:
                 result[key] = _canonical_json(encode_blobs(payload))
-        if self._legacy:
-            for path in _iter_legacy_files(self._root):
-                key = path.stem
-                if key in result:
-                    continue
-                try:
-                    document = json.loads(path.read_text(encoding="utf-8"))
-                    if not isinstance(document, dict) or document.get("key") != key:
-                        continue
-                except (OSError, ValueError, TypeError):
-                    continue
-                document.pop("key", None)
-                result[key] = _canonical_json(document)
         return result
 
     def clear(self) -> int:
         """Delete every entry (explicit invalidation); returns the count."""
-        self._refresh()
+        self._sync()
         self._close_writer()
         removed = 0
         by_segment: dict[str, int] = collections.Counter(
@@ -981,63 +951,31 @@ class SweepResultStore:
                         pass
         except OSError:
             pass
-        for path in list(_iter_legacy_files(self._root)):
-            try:
-                path.unlink()
-                removed += 1
-            except FileNotFoundError:
-                continue
-            except OSError:
-                self.stats.io_errors += 1
         self._index.clear()
         self._segments.clear()
         self._coverage.clear()
         self._idx_progress.clear()
         self._recovered.clear()
-        self._legacy = False
         return removed
 
     def quarantined_count(self) -> int:
         """Number of corrupt entries currently sitting in quarantine."""
+        self._ensure_loaded()
         quarantine = self._root / QUARANTINE_DIR
         if not quarantine.is_dir():
             return 0
         return sum(1 for _ in quarantine.glob(f"*{QUARANTINE_SUFFIX}"))
 
-    def _legacy_stats(self) -> tuple[int, int, list[float]]:
-        """(count, bytes, mtimes) of unmigrated v1 entries."""
-        count = 0
-        total = 0
-        mtimes: list[float] = []
-        for path in _iter_legacy_files(self._root):
-            try:
-                stat = path.stat()
-            except FileNotFoundError:
-                continue
-            except OSError:
-                self.stats.io_errors += 1
-                continue
-            count += 1
-            total += stat.st_size
-            mtimes.append(stat.st_mtime)
-        return count, total, mtimes
-
     def disk_stats(self) -> StoreDiskStats:
         """Measure the store's on-disk footprint (``repro store stats``).
 
-        O(index) on the packfile layout: entry counts, byte totals and the
-        age range all come from the in-memory index -- no per-entry stat
-        calls.  Unmigrated v1 entries (if any) are still walked on disk.
+        O(index): entry counts, byte totals and the age range all come from
+        the in-memory index -- no per-entry stat calls.
         """
-        self._refresh()
+        self._sync()
         entries = len(self._index)
         total_bytes = sum(loc.length for loc in self._index.values())
         times = [loc.timestamp for loc in self._index.values()]
-        if self._legacy:
-            legacy_count, legacy_bytes, legacy_mtimes = self._legacy_stats()
-            entries += legacy_count
-            total_bytes += legacy_bytes
-            times.extend(legacy_mtimes)
         quarantined = self.quarantined_count()
         if not entries:
             return StoreDiskStats(
@@ -1062,11 +1000,10 @@ class SweepResultStore:
         ones have their bytes copied into ``quarantine/`` and are dropped
         via durable index tombstones, exactly as a read-path detection
         would.  Records recovered by the crash tail scan gain their missing
-        index lines, making the recovery durable.  Unmigrated v1 entries
-        are verified with the v1 rules.  The store remains fully usable
-        during and after the pass (``repro store verify``).
+        index lines, making the recovery durable.  The store remains fully
+        usable during and after the pass (``repro store verify``).
         """
-        self._refresh()
+        self._sync()
         scanned = 0
         valid = 0
         quarantined = 0
@@ -1126,31 +1063,6 @@ class SweepResultStore:
                         self._recovered.discard(key)
                     except OSError:
                         self.stats.io_errors += 1
-                valid += 1
-        if self._legacy:
-            for path in sorted(_iter_legacy_files(self._root)):
-                try:
-                    text = path.read_text(encoding="utf-8")
-                except FileNotFoundError:
-                    continue
-                except OSError:
-                    scanned += 1
-                    io_errors += 1
-                    self.stats.io_errors += 1
-                    continue
-                scanned += 1
-                key = path.stem
-                try:
-                    payload = json.loads(text)
-                    if not isinstance(payload, dict) or payload.get("key") != key:
-                        raise ValueError("entry does not match its key")
-                except (ValueError, TypeError):
-                    self.stats.corrupt += 1
-                    if self._quarantine_legacy(path):
-                        quarantined += 1
-                    else:
-                        io_errors += 1
-                    continue
                 valid += 1
         return StoreVerifyReport(
             scanned=scanned,
@@ -1270,59 +1182,30 @@ class SweepResultStore:
             raise ValueError("max_entries must be non-negative")
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
+        self._sync()
         if max_entries is None and max_bytes is None:
             return 0
-        self._refresh()
-        # (timestamp, tie-break, size, kind, identity)
-        candidates: list[tuple[float, str, int, str, Any]] = []
-        for key, location in self._index.items():
-            candidates.append(
-                (location.timestamp, key, location.length, "pack", key)
-            )
-        if self._legacy:
-            for path in _iter_legacy_files(self._root):
-                try:
-                    stat = path.stat()
-                except FileNotFoundError:
-                    continue
-                except OSError:
-                    self.stats.io_errors += 1
-                    continue
-                candidates.append(
-                    (stat.st_mtime, str(path), stat.st_size, "legacy", path)
-                )
-        candidates.sort(key=lambda item: (item[0], item[1]))
+        candidates = sorted(
+            self._index.items(), key=lambda item: (item[1].timestamp, item[0])
+        )
         remaining = len(candidates)
-        remaining_bytes = sum(item[2] for item in candidates)
-        legacy_victims: list[pathlib.Path] = []
-        pack_victims: set[str] = set()
-        for _ts, _tie, size, kind, identity in candidates:
+        remaining_bytes = sum(location.length for _, location in candidates)
+        victims: set[str] = set()
+        for key, location in candidates:
             over_entries = max_entries is not None and remaining > max_entries
             over_bytes = max_bytes is not None and remaining_bytes > max_bytes
             if not over_entries and not over_bytes:
                 break
-            if kind == "legacy":
-                legacy_victims.append(identity)
-            else:
-                pack_victims.add(identity)
+            victims.add(key)
             remaining -= 1
-            remaining_bytes -= size
+            remaining_bytes -= location.length
         removed = 0
-        for path in legacy_victims:
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                continue
-            except OSError:
-                self.stats.io_errors += 1
-                continue
-            removed += 1
         by_segment: dict[str, list[tuple[str, _Location]]] = collections.defaultdict(list)
         for key, location in self._index.items():
             by_segment[location.segment].append((key, location))
         for segment in sorted(by_segment):
             entries = by_segment[segment]
-            keep = [(key, loc) for key, loc in entries if key not in pack_victims]
+            keep = [(key, loc) for key, loc in entries if key not in victims]
             if len(keep) == len(entries):
                 continue
             if self._rewrite_segment(segment, keep):
@@ -1337,10 +1220,12 @@ class SweepResultStore:
         prune ordering survives migration); the JSON file is removed only
         after its record and index line are flushed, so a crash mid-migration
         loses nothing -- rerunning completes the job.  Corrupt v1 entries
-        are quarantined exactly as a read would quarantine them; entries
-        that cannot be repacked due to I/O errors stay in place and remain
-        readable through the v1 fallback.  Exposed as ``repro store
-        migrate``.
+        (unparsable, or filed under another key) are moved into
+        ``quarantine/`` with their bytes intact.  Entries that cannot be
+        repacked due to I/O errors stay in place, and the store keeps
+        raising :class:`UnmigratedStoreError` until a rerun converts them.
+        This is the only reader of v1 files and the one method an
+        unmigrated store accepts.  Exposed as ``repro store migrate``.
         """
         self._refresh()
         migrated = 0
@@ -1372,7 +1257,7 @@ class SweepResultStore:
             try:
                 self._append_record(key, document, stat.st_mtime)
             except OSError:
-                # Leave the v1 file in place: still readable via fallback.
+                # Leave the v1 file in place for a rerun.
                 self._close_writer()
                 io_errors += 1
                 self.stats.io_errors += 1
@@ -1382,8 +1267,8 @@ class SweepResultStore:
             except FileNotFoundError:
                 pass
             except OSError:
-                # The pack copy exists and shadows the file; the leftover
-                # JSON only wastes space until the next migrate/clear.
+                # The pack copy exists; a rerun repacks the leftover file
+                # again (same bytes) and retries the removal.
                 io_errors += 1
                 self.stats.io_errors += 1
             migrated += 1
@@ -1396,7 +1281,8 @@ class SweepResultStore:
             self._write_format_marker()
         except OSError:
             self.stats.io_errors += 1
-        self._legacy = any(True for _ in _iter_legacy_files(self._root))
+        # Leftover v1 files (I/O errors) keep the store unopened.
+        self._loaded = not any(_iter_legacy_files(self._root))
         return StoreMigrateReport(
             migrated=migrated, quarantined=quarantined, io_errors=io_errors
         )

@@ -48,3 +48,28 @@ def make_segment_unreadable(root):
     pack.unlink()
     pack.mkdir()
     return pack
+
+
+def v1_snapshot(root):
+    """Expected ``snapshot()`` of a v1 root, built from its files alone.
+
+    Each entry file's JSON document without its ``"key"`` field, in
+    canonical JSON -- no store code involved, so it can check a migration.
+    """
+    result = {}
+    for path in sorted(pathlib.Path(root).glob("??/*.json")):
+        document = json.loads(path.read_text(encoding="utf-8"))
+        del document["key"]
+        result[path.stem] = json.dumps(
+            document, sort_keys=True, separators=(",", ":")
+        )
+    return result
+
+
+def tree(root):
+    """Relative path -> file bytes (``None`` for directories) under ``root``."""
+    root = pathlib.Path(root)
+    return {
+        str(path.relative_to(root)): None if path.is_dir() else path.read_bytes()
+        for path in sorted(root.rglob("*"))
+    }

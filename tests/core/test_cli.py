@@ -1196,3 +1196,37 @@ class TestCleanErrorSurface:
         )
         with pytest.raises(SystemExit, match="cannot parse adder name"):
             main(["batch", str(path), "--no-cache"])
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["characterize", "--architecture", "rca", "--width", "8", "--vectors", "64"],
+            ["batch", "JOBS"],
+            ["store", "stats"],
+            ["store", "verify"],
+            ["store", "prune", "--max-entries", "1"],
+        ],
+        ids=lambda command: " ".join(command[:2]),
+    )
+    def test_unmigrated_v1_store_exits_with_the_migrate_hint(self, tmp_path, command):
+        from _store_helpers import tree
+
+        from repro.core.store import SweepResultStore, write_legacy_entry
+
+        legacy = tmp_path / "legacy"
+        write_legacy_entry(legacy, SweepResultStore.entry_key({"n": 0}), {"n": 0})
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(
+            json.dumps(
+                {"jobs": [{"type": "characterize", "operator": "rca8"}]},
+                sort_keys=True,
+            )
+        )
+        before = tree(legacy)
+        argv = [str(jobs) if part == "JOBS" else part for part in command]
+        with pytest.raises(SystemExit) as raised:
+            main(argv + ["--cache-dir", str(legacy)])
+        message = str(raised.value.code)
+        assert f"repro store migrate --cache-dir {legacy}" in message
+        assert "\n" not in message
+        assert tree(legacy) == before

@@ -17,6 +17,7 @@ from repro.core.store import (
     QUARANTINE_SUFFIX,
     STORE_VERSION,
     SweepResultStore,
+    UnmigratedStoreError,
     decode_float64_array,
     decode_int64_array,
     encode_float64_array,
@@ -696,8 +697,26 @@ class TestConcurrentSessions:
         assert reader.stats.corrupt == 0
 
 
+#: Every public read, write and maintenance call of the store, applied to
+#: a store and a key it holds.
+PUBLIC_CALLS = {
+    "get": lambda store, key: store.get(key),
+    "get_many": lambda store, key: store.get_many([key]),
+    "put": lambda store, key: store.put(key, {"n": "new"}),
+    "len": lambda store, key: len(store),
+    "entry_keys": lambda store, key: store.entry_keys(),
+    "snapshot": lambda store, key: store.snapshot(),
+    "clear": lambda store, key: store.clear(),
+    "quarantined_count": lambda store, key: store.quarantined_count(),
+    "disk_stats": lambda store, key: store.disk_stats(),
+    "verify": lambda store, key: store.verify(),
+    "prune": lambda store, key: store.prune(max_entries=1),
+    "prune_without_limits": lambda store, key: store.prune(),
+}
+
+
 class TestLegacyLayout:
-    """v1 one-JSON-file-per-entry stores read through and migrate."""
+    """v1 one-JSON-file-per-entry roots are refused until migrated."""
 
     def _legacy_fill(self, root, count):
         keys = []
@@ -707,69 +726,78 @@ class TestLegacyLayout:
             keys.append(key)
         return keys
 
-    def test_legacy_entries_read_through(self, tmp_path):
-        keys = self._legacy_fill(tmp_path, 3)
-        store = SweepResultStore(tmp_path)
-        assert store_layout_version(tmp_path) == 1
-        assert len(store) == 3
-        assert all(store.get(key) == {"n": n} for n, key in enumerate(keys))
-        assert store.stats.hits == 3
+    @pytest.mark.parametrize("call", sorted(PUBLIC_CALLS))
+    def test_every_public_method_refuses_a_v1_root(self, tmp_path, call):
+        from _store_helpers import tree
 
-    def test_corrupt_legacy_entry_is_quarantined_v1_style(self, tmp_path):
         (key,) = self._legacy_fill(tmp_path, 1)
-        path = tmp_path / key[:2] / f"{key}.json"
-        path.write_text("{ truncated garbage", encoding="utf-8")
+        before = tree(tmp_path)
         store = SweepResultStore(tmp_path)
-        assert store.get(key) is None
-        assert store.stats.corrupt == 1
-        moved = tmp_path / QUARANTINE_DIR / (path.name + QUARANTINE_SUFFIX)
-        assert moved.is_file()
-        assert moved.read_text(encoding="utf-8") == "{ truncated garbage"
+        hint = f"repro store migrate --cache-dir {tmp_path}"
+        with pytest.raises(UnmigratedStoreError) as raised:
+            PUBLIC_CALLS[call](store, key)
+        assert hint in str(raised.value)
+        assert "\n" not in str(raised.value)
+        assert isinstance(raised.value, ValueError)
+        # Refusal is sticky while the v1 file is there, and writes nothing.
+        with pytest.raises(UnmigratedStoreError):
+            PUBLIC_CALLS[call](store, key)
+        assert tree(tmp_path) == before
 
-    def test_legacy_entry_under_wrong_key_is_rejected(self, tmp_path):
+    def test_leftover_v1_file_in_a_pack_store_refuses_until_migrated(
+        self, tmp_path
+    ):
         store = SweepResultStore(tmp_path)
-        key_a = store.entry_key({"n": "a"})
-        key_b = store.entry_key({"n": "b"})
-        write_legacy_entry(tmp_path, key_a, {"v": 1})
-        source = tmp_path / key_a[:2] / f"{key_a}.json"
-        target = tmp_path / key_b[:2]
-        target.mkdir(parents=True, exist_ok=True)
-        (target / f"{key_b}.json").write_text(
-            source.read_text(encoding="utf-8"), encoding="utf-8"
-        )
-        assert store.get(key_b) is None
-        assert store.stats.corrupt == 1
+        packed = [store.entry_key({"p": n}) for n in range(3)]
+        for n, key in enumerate(packed):
+            store.put(key, {"p": n})
+        (leftover,) = self._legacy_fill(tmp_path, 1)
+        mixed = SweepResultStore(tmp_path)
+        with pytest.raises(UnmigratedStoreError):
+            mixed.get(packed[0])
+        with pytest.raises(UnmigratedStoreError):
+            len(mixed)
+        assert mixed.migrate().migrated == 1
+        assert len(mixed) == 4
+        assert mixed.get(leftover) == {"n": 0}
+        assert all(mixed.get(key) == {"p": n} for n, key in enumerate(packed))
+        fresh = SweepResultStore(tmp_path)
+        assert fresh.entry_keys() == sorted(packed + [leftover])
+        assert fresh.verify().valid == 4
 
-    def test_mixed_layouts_coexist(self, tmp_path):
-        legacy_keys = self._legacy_fill(tmp_path, 2)
+    def test_a_root_migrated_elsewhere_opens(self, tmp_path):
+        (key,) = self._legacy_fill(tmp_path, 1)
         store = SweepResultStore(tmp_path)
-        new_key = store.entry_key({"n": "new"})
-        store.put(new_key, {"v": "new"})
-        assert len(store) == 3
-        assert store.disk_stats().entries == 3
-        assert store.verify().valid == 3
-        assert sorted(store.entry_keys()) == sorted(legacy_keys + [new_key])
+        with pytest.raises(UnmigratedStoreError):
+            store.get(key)
+        SweepResultStore(tmp_path).migrate()
+        assert store.get(key) == {"n": 0}
 
-    def test_prune_spans_both_layouts_oldest_first(self, tmp_path, ticking_clock):
-        import os
-
+    def test_migrate_hitting_an_io_error_leaves_the_store_unmigrated(
+        self, tmp_path, monkeypatch
+    ):
         keys = self._legacy_fill(tmp_path, 2)
-        # Age the legacy entries far into the past.
-        for n, key in enumerate(keys):
-            os.utime(tmp_path / key[:2] / f"{key}.json", (n + 1, n + 1))
         store = SweepResultStore(tmp_path)
-        new_key = store.entry_key({"n": "new"})
-        store.put(new_key, {"v": "new"})
-        assert store.prune(max_entries=1) == 2
-        assert store.get(new_key) is not None
-        assert store.get(keys[0]) is None
+        append = store._append_record
 
-    def test_clear_spans_both_layouts(self, tmp_path):
-        self._legacy_fill(tmp_path, 2)
-        store = SweepResultStore(tmp_path)
-        store.put(store.entry_key({"n": "new"}), {"v": 1})
-        assert store.clear() == 3
-        assert len(SweepResultStore(tmp_path)) == 0
+        def failing_append(key, payload, timestamp):
+            if key == keys[1]:
+                raise OSError("disk full")
+            append(key, payload, timestamp)
+
+        monkeypatch.setattr(store, "_append_record", failing_append)
+        report = store.migrate()
+        assert (report.migrated, report.io_errors) == (1, 1)
+        # Stamped v2, yet one v1 file is left: reported (and refused) as v1.
+        marker = json.loads((tmp_path / FORMAT_FILE).read_text(encoding="utf-8"))
+        assert marker == {"store_version": STORE_VERSION}
+        assert store_layout_version(tmp_path) == 1
+        with pytest.raises(UnmigratedStoreError):
+            store.get(keys[0])
+        monkeypatch.undo()
+        assert store.migrate().migrated == 1
+        assert store_layout_version(tmp_path) == STORE_VERSION
+        assert [store.get(key) for key in keys] == [{"n": 0}, {"n": 1}]
 
 
 class TestMigration:
@@ -791,9 +819,12 @@ class TestMigration:
         return keys
 
     def test_migrate_is_lossless(self, tmp_path):
+        from _store_helpers import v1_snapshot
+
         self._legacy_store(tmp_path, 5)
+        before = v1_snapshot(tmp_path)
+        assert len(before) == 5
         store = SweepResultStore(tmp_path)
-        before = store.snapshot()
         report = store.migrate()
         assert report.migrated == 5
         assert report.quarantined == 0
@@ -842,16 +873,29 @@ class TestMigration:
         assert report.migrated == 0
         assert store_layout_version(tmp_path) == STORE_VERSION
 
-    def test_migrate_quarantines_corrupt_v1_entries(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["garbage", "wrong_key"])
+    def test_migrate_quarantines_corrupt_v1_entries(self, tmp_path, damage):
         keys = self._legacy_store(tmp_path, 3)
         victim = tmp_path / keys[1][:2] / f"{keys[1]}.json"
-        victim.write_text("garbage", encoding="utf-8")
+        if damage == "garbage":
+            victim.write_text("{ truncated garbage", encoding="utf-8")
+        else:
+            # A well-formed entry of another key filed under this one.
+            victim.write_bytes(
+                (tmp_path / keys[0][:2] / f"{keys[0]}.json").read_bytes()
+            )
+        original = victim.read_bytes()
         store = SweepResultStore(tmp_path)
         report = store.migrate()
         assert report.migrated == 2
         assert report.quarantined == 1
+        assert store.stats.corrupt == 1
+        assert not victim.exists()
+        moved = tmp_path / QUARANTINE_DIR / (victim.name + QUARANTINE_SUFFIX)
+        assert moved.read_bytes() == original
         assert store.quarantined_count() == 1
         assert store.verify().valid == 2
+        assert store.get(keys[1]) is None
 
     def test_migrate_preserves_prune_ordering(self, tmp_path, ticking_clock):
         import os

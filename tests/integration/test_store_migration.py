@@ -2,10 +2,12 @@
 
 ``tests/fixtures/store_v1`` holds a real previous-layout store (one JSON
 file per entry; see ``tests/fixtures/make_store_v1.py``).  These tests
-replay the upgrade path the ``store-migration`` CI job exercises: migrate a
-copy of the fixture, then prove nothing changed at the result level --
-``store verify`` is clean, a warm rerun of the frozen sweep simulates zero
-units, and rendered results are byte-identical before and after migration.
+replay the upgrade path the ``store-migration`` CI job exercises.  An
+unmigrated copy is refused with a pointer to ``repro store migrate``; after
+migrating it, nothing changed at the result level -- the snapshot equals
+one built from the fixture's JSON files, ``store verify`` is clean, a warm
+rerun of the frozen sweep simulates zero units, and rendered results are
+byte-identical to a store-less run.
 """
 
 import json
@@ -20,7 +22,10 @@ sys.path.insert(0, str(FIXTURES))
 
 from make_store_v1 import FIXTURE_ROOT, OPERATOR, PATTERN  # noqa: E402
 
+from _store_helpers import v1_snapshot  # noqa: E402
+
 from repro.api import CharacterizeJob, Session, StoreMigrateJob  # noqa: E402
+from repro.api.session import SessionError  # noqa: E402
 from repro.core.store import (  # noqa: E402
     SweepResultStore,
     store_layout_version,
@@ -49,7 +54,7 @@ def _entry_files(root):
 class TestFixtureMigration:
     def test_migrate_is_lossless_and_verifiable(self, v1_store):
         assert store_layout_version(v1_store) == 1
-        before = SweepResultStore(v1_store).snapshot()
+        before = v1_snapshot(v1_store)
         assert len(before) == 43
 
         report = SweepResultStore(v1_store).migrate()
@@ -76,10 +81,14 @@ class TestFixtureMigration:
         self, v1_store
     ):
         cold = Session(store=None).run(JOB).render()
-        pre = Session(store=v1_store).run(JOB).render()
+        unmigrated = Session(store=v1_store)
+        with pytest.raises(SessionError, match="repro store migrate"):
+            unmigrated.run(JOB)
+        with pytest.raises(SessionError, match="repro store migrate"):
+            unmigrated.run_batch([JOB])
         SweepResultStore(v1_store).migrate()
         post = Session(store=v1_store).run(JOB).render()
-        assert pre == post == cold
+        assert post == cold
 
     def test_migrate_job_reports_through_the_session(self, v1_store):
         result = Session(store=v1_store).run(StoreMigrateJob())
