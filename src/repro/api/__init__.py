@@ -11,11 +11,12 @@ Quickstart::
     for entry in result.characterization.sorted_by_energy():
         print(entry.label(), entry.ber_percent, entry.energy_per_operation_pj)
 
-Batch execution with cross-job dedup::
+Batch execution with cross-job dedup (jobs run in order; a sweep unit one
+job simulated replays from the session's memory overlay for the next)::
 
     batch = session.run_batch([
         CharacterizeJob(operator="rca8"),
-        Fig5Job(operator="rca8"),           # shares the rca8 sweep units
+        Fig5Job(operator="rca8"),           # replays the rca8 sweep units
     ])
     print(batch.report.render())
 

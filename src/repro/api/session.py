@@ -11,17 +11,16 @@ exposes exactly two entry points:
   onto the existing orchestrators and returns a typed result
   (:mod:`repro.api.results`).  The CLI is a thin adapter over this: parse
   args, build the job, ``session.run``, print ``result.render()``.
-* :meth:`Session.run_batch` plans a set of jobs together: the underlying
-  sweep work units -- ``(circuit fingerprint, stimulus, triad)`` store keys,
-  exactly the orchestrator's content addresses -- are fingerprinted across
-  jobs, shared units are deduplicated, and the union of cold units lowers
-  into one sharded executor pass per (circuit, stimulus) group before the
-  jobs replay from the warm overlay.  Overlapping jobs (``characterize`` +
-  ``fig5`` + ``explore`` over the same adders) therefore perform **zero**
-  repeated timing simulations, which the :class:`BatchReport`'s
-  planned/deduped/cache-hit/simulated counters make observable (and the
-  test suite asserts via
-  :func:`repro.core.sweep.simulated_unit_count`).
+* :meth:`Session.run_batch` runs a set of jobs in input order against the
+  session's shared :class:`~repro.core.store.MemoryOverlayStore`, so a
+  sweep unit -- a ``(circuit fingerprint, stimulus, triad)`` store key,
+  exactly the orchestrator's content address -- that one job simulated
+  replays from memory for every later job.  Overlapping jobs
+  (``characterize`` + ``fig5`` + ``explore`` over the same adders)
+  therefore perform **zero** repeated timing simulations, which the
+  :class:`BatchReport`'s planned/deduped/cache-hit/simulated counters --
+  taken from the keys the sweep executor saw -- make observable (and the
+  test suite asserts via :func:`repro.core.sweep.simulated_unit_count`).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import collections
 import dataclasses
 import pathlib
 import threading
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.analysis.faults import summarize_fault_results
 from repro.analysis.figures import fig5_ber_per_bit
@@ -70,7 +69,7 @@ from repro.api.results import (
 from repro.api.spec import OperatorSpec, parse_circuit_spec
 from repro.core import sweep as sweep_module
 from repro.core.calibration import calibrate_probability_table
-from repro.core.characterization import CharacterizationFlow
+from repro.core.characterization import AdderCharacterization, CharacterizationFlow
 from repro.core.dataset import (
     load_characterization,
     save_characterization,
@@ -88,7 +87,6 @@ from repro.core.store import (
     SweepResultStore,
     UnmigratedStoreError,
 )
-from repro.core.triad import OperatingTriad, TriadGrid
 from repro.explore.evaluator import CandidateEvaluator, robust_tag
 from repro.explore.frontier import ParetoFrontier
 from repro.explore.search import run_search
@@ -130,25 +128,28 @@ class BatchReport:
     jobs:
         Number of jobs executed.
     planned_units:
-        Plannable sweep work units across all jobs, *with* multiplicity --
-        one unit is one ``(circuit, stimulus, triad)`` timing simulation a
-        job would perform on its own.
+        Store keys requested by every sweep of the batch (characterization,
+        fault and Monte Carlo alike), *with* multiplicity -- one unit is a
+        ``(circuit, stimulus, triad)`` timing simulation, a fault site or a
+        Monte Carlo (sample range, triad) entry some job asked for.
     deduped_units:
-        Units shared between jobs (``planned_units`` minus distinct store
-        keys): work the batch planner eliminated outright.
+        Requests for a key another request of the batch already named
+        (``planned_units`` minus distinct store keys): work the shared
+        session overlay answered instead of the simulator.
     cache_hits:
-        Distinct units already warm in the session store before the batch
-        ran.
+        Distinct keys the batch did not simulate: they were warm in the
+        session store before the batch ran.
     simulated_units:
-        Work units actually simulated by the whole batch (including
-        non-plannable workloads such as Monte Carlo ranges or screening
-        sweeps, which dedup through the shared session overlay instead of
-        the planner).  Measured from the process-wide counter of
+        Work units actually simulated by the whole batch.  Measured from
+        the process-wide counter of
         :func:`repro.core.sweep.simulated_unit_count`: accurate for the
         one-batch-at-a-time usage a session supports (sessions are not
         thread-safe; see :class:`Session`), but concurrent sweeps run by
         *other* sessions in other threads of the same process would be
-        attributed to this batch.
+        attributed to this batch.  It equals ``planned_units -
+        deduped_units - cache_hits`` unless a job needed a unit again in a
+        richer form than an earlier job left in the overlay (latched words
+        for ``calibrate``), or a store-less overlay evicted it in between.
     """
 
     jobs: int
@@ -181,35 +182,6 @@ class BatchResult:
 
     results: tuple[Any, ...]
     report: BatchReport
-
-
-@dataclasses.dataclass(frozen=True)
-class _SweepRequest:
-    """One job's plannable characterization sweep (spec x stimulus x triads)."""
-
-    spec: OperatorSpec
-    pattern: PatternConfig
-    triads: tuple[OperatingTriad, ...]
-    keep_latched: bool
-    jobs: int
-    policy: ExecutionPolicy | None = None
-
-
-class _MergedSweep:
-    """Union of all requests sharing one (circuit, stimulus) identity.
-
-    ``keep_latched`` is tracked per triad (per store key), not per group:
-    one calibration triad needing latched words must not force a whole
-    already-warm characterize grid -- whose cached payloads carry no
-    latched words -- to re-simulate.
-    """
-
-    def __init__(self, spec: OperatorSpec, pattern: PatternConfig) -> None:
-        self.spec = spec
-        self.pattern = pattern
-        self.triads: dict[str, tuple[OperatingTriad, bool]] = {}  # key -> (triad, keep)
-        self.jobs = 1
-        self.policy: ExecutionPolicy | None = None
 
 
 class Session:
@@ -452,42 +424,37 @@ class Session:
         )
 
     @staticmethod
-    def _classify_dataset(entry: str) -> str:
-        """Classify a Table IV dataset entry.
-
-        ``"file"`` -- an existing characterization JSON file;
-        ``"missing-file"`` -- clearly meant as a file path (operator names
-        are bare alnum tokens) but absent; ``"operator"`` -- an operator
-        name to characterize on the fly.  The one predicate shared by the
-        run path and the batch planner, so both always classify alike.
-        """
-        if pathlib.Path(entry).is_file():
-            return "file"
-        if "." in entry or "/" in entry:
-            return "missing-file"
-        return "operator"
-
-    @staticmethod
-    def _dataset_operator(entry: str) -> OperatorSpec:
-        """Parse a Table IV operator-name entry into its spec (user-facing)."""
+    def _load_dataset(path: str) -> AdderCharacterization:
+        """Load a characterization JSON file; a bad file is a user error."""
         try:
-            return parse_circuit_spec(entry)
-        except ValueError as error:
-            raise SessionError(str(error)) from None
+            return load_characterization(path)
+        except OSError as error:
+            raise SessionError(
+                f"cannot read dataset file {path}: {error.strerror or error}"
+            ) from None
+        except (ValueError, KeyError, TypeError, AttributeError) as error:
+            raise SessionError(
+                f"dataset file {path} is not a characterization: "
+                f"{type(error).__name__}: {error}"
+            ) from None
 
     def _run_table4(self, job: Table4Job) -> Table4Result:
         characterizations = {}
         report = ExecutionReport()
         for entry in job.datasets:
-            kind = self._classify_dataset(entry)
-            if kind == "file":
-                characterization = load_characterization(entry)
-            elif kind == "missing-file":
+            if pathlib.Path(entry).is_file():
+                characterization = self._load_dataset(entry)
+            elif "." in entry or "/" in entry:
+                # Operator names are bare alnum tokens: this one was meant
+                # as a file path.
                 raise SessionError(f"dataset file not found: {entry}")
             else:
                 # Not a file: characterize the named operator on the fly
                 # through the cached sweep orchestrator.
-                spec = self._dataset_operator(entry)
+                try:
+                    spec = parse_circuit_spec(entry)
+                except ValueError as error:
+                    raise SessionError(str(error)) from None
                 flow = self.flow_for(spec)
                 config = PatternConfig(
                     n_vectors=job.vectors,
@@ -568,10 +535,13 @@ class Session:
         )
 
     def _run_speculate(self, job: SpeculateJob) -> SpeculateResult:
-        characterization = load_characterization(job.dataset)
-        controller = DynamicSpeculationController(
-            characterization, error_margin=job.margin
-        )
+        characterization = self._load_dataset(job.dataset)
+        try:
+            controller = DynamicSpeculationController(
+                characterization, error_margin=job.margin
+            )
+        except ValueError as error:  # e.g. a dataset with no triads
+            raise SessionError(f"dataset file {job.dataset}: {error}") from None
         return SpeculateResult(
             characterization=characterization,
             margin=job.margin,
@@ -758,17 +728,16 @@ class Session:
             root=str(store.root), removed=removed, stats=store.disk_stats()
         )
 
-    # -- batch planning and execution ------------------------------------------
+    # -- batch execution -------------------------------------------------------
 
     def run_batch(self, jobs: Sequence[Job]) -> BatchResult:
-        """Run a set of jobs with cross-job sweep deduplication.
+        """Run a set of jobs in input order under one session span.
 
-        The plannable sweep units of every job are fingerprinted with the
-        orchestrator's own content addresses, deduplicated, and the cold
-        union lowers into one sharded executor pass per (circuit, stimulus)
-        group; the jobs then execute in order against the warm session
-        overlay.  Per-job results come back in input order together with a
-        :class:`BatchReport`.
+        Each job runs through :meth:`run` with its own worker count and
+        policy against the shared session overlay, so a unit one job
+        simulated is a memory hit for every later one.  The
+        :class:`BatchReport` accounting comes from the store keys every
+        sweep of the batch requested and whether it simulated them.
         """
         job_list = list(jobs)
         if not job_list:
@@ -780,16 +749,22 @@ class Session:
 
     def _run_batch_body(self, job_list: list[Job], session_span: Any) -> BatchResult:
         start = sweep_module.simulated_unit_count()
-        execution = ExecutionReport()
+        ledger: list[tuple[str, bool]] = []
+        token = sweep_module._KEY_LEDGER.set(ledger)
         try:
-            planned, deduped, cache_hits = self._execute_plan(job_list, execution)
-        except UnmigratedStoreError as error:
-            raise SessionError(str(error)) from None
+            results = tuple(self.run(job) for job in job_list)
+        finally:
+            sweep_module._KEY_LEDGER.reset(token)
+        distinct = {key for key, _ in ledger}
+        simulated_keys = {key for key, simulated in ledger if simulated}
+        planned = len(ledger)
+        deduped = planned - len(distinct)
+        cache_hits = len(distinct - simulated_keys)
         session_span.set(planned=planned, deduped=deduped, cache_hits=cache_hits)
         metrics.REGISTRY.counter("batch.planned_units").add(planned)
         metrics.REGISTRY.counter("batch.deduped_units").add(deduped)
         metrics.REGISTRY.counter("batch.cache_hits").add(cache_hits)
-        results = tuple(self.run(job) for job in job_list)
+        execution = ExecutionReport()
         for result in results:
             sub_report = getattr(result, "execution", None)
             if sub_report is not None:
@@ -803,170 +778,6 @@ class Session:
             execution=execution,
         )
         return BatchResult(results=results, report=report)
-
-    def _sweep_requests(self, job: Job) -> list[_SweepRequest]:
-        """The plannable characterization sweeps of one job (possibly none).
-
-        Monte Carlo ranges, fault campaigns and search-driven exploration
-        sweeps are not pre-planned (their work sets are either keyed
-        differently or depend on intermediate results); they deduplicate
-        through the shared session overlay at execution time instead.
-        """
-        worker_count = self._jobs_for(job)
-        job_policy = self._policy_for(job)
-        if isinstance(job, CharacterizeJob):
-            spec = job.spec
-            flow = self.flow_for(spec)
-            return [
-                _SweepRequest(
-                    spec=spec,
-                    pattern=job.pattern.config(spec.width),
-                    triads=tuple(flow.default_triad_grid()),
-                    keep_latched=job.keep_measurements,
-                    jobs=worker_count,
-                    policy=job_policy,
-                )
-            ]
-        if isinstance(job, Fig5Job):
-            spec = job.spec
-            flow = self.flow_for(spec)
-            nominal = flow.nominal_clock_period()
-            return [
-                _SweepRequest(
-                    spec=spec,
-                    pattern=PatternConfig(
-                        n_vectors=job.vectors,
-                        width=spec.width,
-                        seed=job.seed,
-                        kind="uniform",
-                    ),
-                    triads=tuple(
-                        OperatingTriad(tclk=nominal, vdd=vdd, vbb=0.0)
-                        for vdd in job.supply_voltages
-                    ),
-                    keep_latched=False,
-                    jobs=worker_count,
-                    policy=job_policy,
-                )
-            ]
-        if isinstance(job, Table4Job):
-            requests = []
-            for entry in job.datasets:
-                if self._classify_dataset(entry) != "operator":
-                    continue
-                try:
-                    spec = parse_circuit_spec(entry)
-                except ValueError:
-                    continue  # the job run reports the malformed name
-                flow = self.flow_for(spec)
-                requests.append(
-                    _SweepRequest(
-                        spec=spec,
-                        pattern=PatternConfig(
-                            n_vectors=job.vectors,
-                            width=spec.width,
-                            seed=job.seed,
-                            kind="uniform",
-                        ),
-                        triads=tuple(flow.default_triad_grid()),
-                        keep_latched=False,
-                        jobs=worker_count,
-                        policy=job_policy,
-                    )
-                )
-            return requests
-        if isinstance(job, CalibrateJob):
-            spec = job.spec
-            return [
-                _SweepRequest(
-                    spec=spec,
-                    pattern=job.pattern.config(spec.width),
-                    triads=(job.triad(),),
-                    keep_latched=True,
-                    jobs=worker_count,
-                    policy=job_policy,
-                )
-            ]
-        return []
-
-    def _execute_plan(
-        self, jobs: Sequence[Job], report: ExecutionReport | None = None
-    ) -> tuple[int, int, int]:
-        """Dedup the jobs' sweep units and pre-run the cold union.
-
-        Each merged group runs under the policy of the first contributing
-        request (requests already fold in the session default), and the
-        optional ``report`` accumulates fault-recovery accounting across
-        every pre-run group.  Returns ``(planned_units, deduped_units,
-        cache_hits)``.
-        """
-        base_cache: dict[tuple[OperatorSpec, PatternConfig], Mapping[str, Any]] = {}
-        merged: dict[str, _MergedSweep] = {}
-        planned = 0
-        seen_keys: set[str] = set()
-
-        for job in jobs:
-            for request in self._sweep_requests(job):
-                identity = (request.spec, request.pattern)
-                base = base_cache.get(identity)
-                if base is None:
-                    base = sweep_module.characterization_key_components(
-                        self.flow_for(request.spec).adder,
-                        self._library,
-                        sweep_module.pattern_stimulus(request.pattern),
-                    )
-                    base_cache[identity] = base
-                group_key = SweepResultStore.entry_key(dict(base))
-                group = merged.get(group_key)
-                if group is None:
-                    group = _MergedSweep(request.spec, request.pattern)
-                    merged[group_key] = group
-                group.jobs = max(group.jobs, request.jobs)
-                if group.policy is None:
-                    group.policy = request.policy
-                for triad in request.triads:
-                    planned += 1
-                    key = sweep_module.characterization_entry_key(base, triad)
-                    seen_keys.add(key)
-                    current = group.triads.get(key)
-                    if current is None:
-                        group.triads[key] = (triad, request.keep_latched)
-                    elif request.keep_latched and not current[1]:
-                        group.triads[key] = (triad, True)
-
-        deduped = planned - len(seen_keys)
-        cache_hits = 0
-        for group in merged.values():
-            n_vectors = group.pattern.n_vectors
-            missing: dict[bool, list[OperatingTriad]] = {False: [], True: []}
-            for key, (triad, keep_latched) in group.triads.items():
-                payload = self._view.get(key)
-                if sweep_module.payload_usable(payload, n_vectors, keep_latched):
-                    cache_hits += 1
-                else:
-                    missing[keep_latched].append(triad)
-            if not any(missing.values()):
-                continue
-            flow = self.flow_for(group.spec)
-            in1, in2 = generate_patterns(group.pattern)
-            for keep_latched, triads in missing.items():
-                if not triads:
-                    continue
-                sweep_module.run_characterization_sweep(
-                    flow.adder,
-                    TriadGrid(triads),
-                    in1,
-                    in2,
-                    sweep_module.pattern_stimulus(group.pattern),
-                    library=self._library,
-                    jobs=group.jobs,
-                    store=self._view,
-                    keep_latched=keep_latched,
-                    testbench=flow.testbench,
-                    policy=group.policy,
-                    report=report,
-                )
-        return planned, deduped, cache_hits
 
 
 _HANDLERS = {

@@ -1302,14 +1302,18 @@ class MemoryOverlayStore:
     present) and memoises the payload; every later lookup -- from the same
     job or from any other job of the same session/batch -- is served from
     memory.  Writes go to both layers, so persistence semantics are exactly
-    those of the backing store.  With ``backing=None`` the overlay acts as a
-    session-lifetime cache, which is what makes ``run_batch`` dedup work
-    even for uncached sessions.
+    those of the backing store.  This is the only cross-job dedup a
+    session has: ``run_batch`` runs its jobs in order, and a unit one job
+    simulated is a memory hit for every later one.  With ``backing=None``
+    the overlay acts as a session-lifetime cache, so that holds for
+    uncached sessions too.
 
     The memory layer is an LRU bounded by ``max_entries`` so a long-lived
     session cannot grow without limit; an evicted entry is only a
     performance miss (it re-reads the backing store, or in the uncached
-    case re-simulates), never a correctness issue.
+    case re-simulates), never a correctness issue.  A sweep keeps the
+    payloads it computes, so eviction only costs a later job that repeats
+    an evicted unit.
 
     The overlay duck-types the ``get``/``get_many``/``put`` subset of
     :class:`SweepResultStore` that every sweep orchestrator uses.

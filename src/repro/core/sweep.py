@@ -40,6 +40,7 @@ Multiplier grids run through the identical entry points because
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import re
 from typing import Any, Callable, ClassVar, Mapping, Sequence
@@ -108,7 +109,7 @@ def simulated_unit_count() -> int:
     """Total work units simulated so far (monotonic; cache hits excluded).
 
     Snapshot before and after an operation to measure how much real
-    simulation it performed -- the batch planner's dedup accounting and the
+    simulation it performed -- per-job and per-batch accounting and the
     zero-duplicate-simulation tests are built on this.
     """
     return _SIMULATED_UNITS.value
@@ -119,6 +120,17 @@ def record_simulated_units(count: int) -> None:
     if count < 0:
         raise ValueError("count must be non-negative")
     _SIMULATED_UNITS.add(int(count))
+
+
+#: Store keys requested by every sweep run while a batch is open, in order
+#: and with multiplicity, each paired with whether that sweep simulated the
+#: unit (``False``: a usable payload was cached).  ``Session.run_batch``
+#: sets a fresh list for the duration of the batch and derives its
+#: planned / deduped / cache-hit accounting from it; outside a batch the
+#: value is ``None`` and nothing is recorded.
+_KEY_LEDGER: contextvars.ContextVar[list[tuple[str, bool]] | None] = (
+    contextvars.ContextVar("sweep_key_ledger", default=None)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -315,25 +327,6 @@ def payload_to_measurement(
         dynamic_energy_per_operation=float(payload["dynamic_energy_per_operation"]),
         static_energy_per_operation=float(payload["static_energy_per_operation"]),
     )
-
-
-def payload_usable(
-    payload: Mapping[str, Any] | None, n_vectors: int, keep_latched: bool
-) -> bool:
-    """Whether a (possibly cached) characterization payload satisfies a request.
-
-    Shared by the sweep orchestrator and the batch planner of
-    :mod:`repro.api.session`, so both judge warmness identically.
-    """
-    if payload is None:
-        return False
-    if payload.get("payload_version") != PAYLOAD_VERSION:
-        return False
-    if payload.get("n_vectors") != n_vectors:
-        return False
-    if keep_latched and "latched_words" not in payload:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +526,9 @@ def execute_sweep(
         )
         simulated = sum(len(item) for item in items)
         sweep_span.set(units=len(keys), cached=len(payloads), simulated=simulated)
+        ledger = _KEY_LEDGER.get()
+        if ledger is not None:
+            ledger.extend((key, unit not in payloads) for unit, key in enumerate(keys))
         if items:
             record_simulated_units(simulated)
 
@@ -654,41 +650,6 @@ def _payload_to_fault_result(payload: Mapping[str, Any]) -> FaultSimulationResul
 # ---------------------------------------------------------------------------
 
 
-def characterization_key_components(
-    circuit: Any,
-    library: StandardCellLibrary,
-    stimulus: Mapping[str, Any],
-) -> dict[str, Any]:
-    """Triad-independent key components of a characterization sweep.
-
-    The single definition of what identifies a sweep's results in the store;
-    combine with a triad via :func:`characterization_entry_key`.  Used by
-    :func:`run_characterization_sweep` and by the cross-job dedup planner of
-    :mod:`repro.api.session` (which must predict the orchestrator's keys
-    without running it).
-    """
-    return {
-        "scenario": "characterization",
-        "engine_version": ENGINE_VERSION,
-        "circuit": netlist_fingerprint(circuit.netlist),
-        "circuit_name": circuit.name,
-        "library": library_fingerprint(library),
-        "stimulus": dict(stimulus),
-    }
-
-
-def characterization_entry_key(
-    base_components: Mapping[str, Any], triad: OperatingTriad
-) -> str:
-    """Store key of one triad's summary within a characterization sweep."""
-    return SweepResultStore.entry_key(
-        {
-            **base_components,
-            "triad": {"tclk": triad.tclk, "vdd": triad.vdd, "vbb": triad.vbb},
-        }
-    )
-
-
 def run_characterization_sweep(
     circuit: Any,
     grid: TriadGrid,
@@ -748,7 +709,15 @@ def run_characterization_sweep(
     list of payload dicts in grid order.
     """
     triads = tuple(grid)
-    base_components = characterization_key_components(circuit, library, stimulus)
+    fingerprint = netlist_fingerprint(circuit.netlist)
+    base_components: dict[str, Any] = {
+        "scenario": "characterization",
+        "engine_version": ENGINE_VERSION,
+        "circuit": fingerprint,
+        "circuit_name": circuit.name,
+        "library": library_fingerprint(library),
+        "stimulus": dict(stimulus),
+    }
     kernel = _TriadKernel(
         library=library,
         in1=np.asarray(in1, dtype=np.int64),
@@ -761,12 +730,28 @@ def run_characterization_sweep(
     def point(unit: int) -> tuple[float, float]:
         return _operating_point(triads[unit])
 
+    def usable(unit: int, payload: Mapping[str, Any] | None) -> bool:
+        return (
+            payload is not None
+            and payload.get("payload_version") == PAYLOAD_VERSION
+            and payload.get("n_vectors") == n_vectors
+            and (not keep_latched or "latched_words" in payload)
+        )
+
     plan = SweepPlan(
         circuit=circuit,
-        fingerprint=base_components["circuit"],
+        fingerprint=fingerprint,
         kernel=kernel,
-        keys=[characterization_entry_key(base_components, t) for t in triads],
-        usable=lambda unit, payload: payload_usable(payload, n_vectors, keep_latched),
+        keys=[
+            SweepResultStore.entry_key(
+                {
+                    **base_components,
+                    "triad": {"tclk": t.tclk, "vdd": t.vdd, "vbb": t.vbb},
+                }
+            )
+            for t in triads
+        ],
+        usable=usable,
         # One work item per (vdd, vbb) group: the sweep-level reuse lives
         # inside a group, so chunking changes no numbers.
         work_items=lambda missing: _group_by(missing, point),

@@ -22,9 +22,11 @@ rate-limited per client (token bucket), validated, deduplicated against a
 hot-result LRU, and parked in a fair round-robin admission queue.  A single
 batch loop drains the queue in small time windows and hands each window to
 ``session.run_batch`` on a dedicated one-thread executor -- so N clients
-submitting overlapping jobs inside one window collapse into *one* sharded
-executor pass (the session's batch planner dedups identical work units),
-and the session's reentrant lock is only ever taken from that one thread.
+submitting overlapping jobs inside one window collapse into *one* session
+batch whose shared overlay simulates each identical work unit once, and
+the session's reentrant lock is only ever taken from that one thread.  A
+job that fails with a user error fails alone: its window reruns job by
+job.
 
 Shutdown.  SIGTERM/SIGINT request a *graceful drain*: new submissions get
 ``503``, queued and in-flight windows run to completion, event streams
@@ -301,7 +303,7 @@ class CharacterizationService:
                 await self._wait_for_work_or_drain()
                 continue
             # The batch window: give concurrent clients a beat to pile
-            # their jobs into this window so the planner dedups them.
+            # their jobs into this window so the batch dedups them.
             if self._config.window_s > 0:
                 await asyncio.sleep(self._config.window_s)
             window = self._queue.take_window(self._config.max_batch_jobs)
@@ -317,16 +319,19 @@ class CharacterizationService:
                 )
             await self._notify_progress()
             with self._batch_span(len(window)) as batch_span:
-                outcome, payload = await loop.run_in_executor(
+                outcomes = await loop.run_in_executor(
                     self._executor,
                     self._execute_window,
                     [record.job for record in window],
                 )
-                batch_span.set(status=outcome)
-            if outcome == "ok":
-                self._distribute(window, payload)
-            else:
-                for record in window:
+                failed = any(outcome != "ok" for outcome, _ in outcomes)
+                batch_span.set(status="error" if failed else "ok")
+            groups = [window] if len(outcomes) == 1 else [[r] for r in window]
+            for records, (outcome, payload) in zip(groups, outcomes):
+                if outcome == "ok":
+                    self._distribute(records, payload)
+                    continue
+                for record in records:
                     record.state = JobState.FAILED
                     record.error = payload
                     record.add_event(f"failed: {payload}")
@@ -345,12 +350,25 @@ class CharacterizationService:
             for waiter in waiters:
                 waiter.cancel()
 
-    def _execute_window(self, jobs: list[Job]) -> tuple[str, Any]:
-        """Runs on the worker thread; never raises."""
+    def _execute_window(self, jobs: list[Job]) -> list[tuple[str, Any]]:
+        """Runs on the worker thread; never raises.
+
+        Returns one ``(outcome, payload)`` pair for the whole window, or --
+        when a job of a multi-job window fails with a user error -- one
+        pair per job: the window reruns job by job so only the failing
+        job's record fails.  Units the first attempt finished are warm in
+        the session overlay, so the rerun does not simulate them again.
+        """
+        outcome = self._run_batch(jobs)
+        if outcome[0] == "user-error" and len(jobs) > 1:
+            return [self._run_batch([job]) for job in jobs]
+        return [outcome]
+
+    def _run_batch(self, jobs: list[Job]) -> tuple[str, Any]:
         try:
             return "ok", self._session.run_batch(jobs)
         except SessionError as error:
-            return "error", str(error)
+            return "user-error", str(error)
         except Exception as error:  # a library defect must not kill the loop
             metrics.REGISTRY.counter("serve.batch_errors").add()
             return "error", f"internal error: {type(error).__name__}: {error}"

@@ -1,10 +1,12 @@
-"""Batch planner tests: cross-job dedup with zero duplicate simulations."""
+"""Batch tests: cross-job dedup through the session overlay, with zero
+duplicate simulations, and the accounting the sweep executor reports."""
 
 import pytest
 
 from repro.api.jobs import (
     CalibrateJob,
     CharacterizeJob,
+    FaultSweepJob,
     Fig5Job,
     MonteCarloJob,
     SynthesizeJob,
@@ -12,6 +14,7 @@ from repro.api.jobs import (
 )
 from repro.api.options import PatternOptions
 from repro.api.session import Session
+from repro.core.store import OVERLAY_MAX_ENTRIES
 from repro.core.sweep import simulated_unit_count
 
 SMALL = PatternOptions(vectors=240)
@@ -35,8 +38,8 @@ class TestBatchDedup:
         simulated = simulated_unit_count() - before
 
         # characterize and table4 sweep the full matched grid with the same
-        # stimulus; fig5's two supply points are a subset of that grid.  One
-        # executor pass covers all three jobs.
+        # stimulus; fig5's two supply points are a subset of that grid.  The
+        # first job simulates the grid; the other two replay the overlay.
         assert simulated == grid_size
         report = batch.report
         assert report.simulated_units == grid_size
@@ -81,10 +84,12 @@ class TestBatchDedup:
         ]
         before = simulated_unit_count()
         batch = session.run_batch(jobs)
-        # The calibrate triad is one of the characterize grid's units: the
-        # merged pass keeps latched words for it, so nothing runs twice.
-        assert simulated_unit_count() - before == len(grid)
+        # The calibrate triad is one of the characterize grid's units, so
+        # the batch dedups it; but the grid's payload carries no latched
+        # words, so calibrate simulates that one triad again to get them.
+        assert simulated_unit_count() - before == len(grid) + 1
         assert batch.report.deduped_units == 1
+        assert batch.report.simulated_units == len(grid) + 1
         assert "hardware BER" in batch.results[1].render()
 
     def test_calibrate_does_not_resimulate_a_warm_nonlatched_grid(self, tmp_path):
@@ -125,7 +130,51 @@ class TestBatchDedup:
         simulated = simulated_unit_count() - before
         # one range x two triads, simulated once; the repeat replays memory
         assert simulated == 2
+        assert batch.report.planned_units == 4
+        assert batch.report.deduped_units == 2
+        assert batch.report.cache_hits == 0
         assert batch.results[0].render() == batch.results[1].render()
+
+    def test_fault_jobs_dedup_through_the_session_overlay(self):
+        job = FaultSweepJob(operator="rca8", pattern=SMALL)
+        batch = Session(store=None).run_batch([job, job])
+        report = batch.report
+        assert report.simulated_units > 0
+        assert report.planned_units == 2 * report.simulated_units
+        assert report.deduped_units == report.planned_units // 2
+        assert report.cache_hits == 0
+        assert batch.results[0].render() == batch.results[1].render()
+
+    def test_per_job_reports_sum_to_the_batch(self):
+        batch = Session(store=None).run_batch(overlapping_jobs())
+        per_job = [result.run.simulated_units for result in batch.results]
+        # the first job simulates the grid; the others replay it
+        assert per_job[0] == batch.report.simulated_units > 0
+        assert sum(per_job) == batch.report.simulated_units
+
+    def test_batch_larger_than_the_overlay_simulates_each_unit_once(self):
+        # Distinct seeds: no unit is shared, and the batch's distinct units
+        # outnumber the overlay's memory.  Every unit must be simulated
+        # exactly once, whatever the overlay evicts.
+        session = Session(store=None)
+        grid_size = len(session.flow_for("rca8").default_triad_grid())
+        n_jobs = OVERLAY_MAX_ENTRIES // grid_size + 2
+        jobs = [
+            CharacterizeJob(
+                operator="rca8", pattern=PatternOptions(vectors=32, seed=seed)
+            )
+            for seed in range(n_jobs)
+        ]
+        before = simulated_unit_count()
+        report = session.run_batch(jobs).report
+        distinct = n_jobs * grid_size
+        assert distinct > OVERLAY_MAX_ENTRIES
+        assert simulated_unit_count() - before == distinct
+        assert report.simulated_units == distinct
+        assert (
+            report.planned_units - report.deduped_units - report.cache_hits
+            == report.simulated_units
+        )
 
     def test_non_sweep_jobs_plan_zero_units(self):
         session = Session(store=None)

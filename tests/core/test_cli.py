@@ -1181,6 +1181,19 @@ class TestBatchCommand:
         assert "0 simulated" in warm.splitlines()[-1]
 
 
+#: A well-formed characterization file holding no triads.
+EMPTY_DATASET = json.dumps(
+    {
+        "adder_name": "rca8",
+        "format_version": 1,
+        "reference_triad": {"tclk": 1e-9, "vbb": 0.0, "vdd": 1.0},
+        "results": [],
+        "width": 8,
+    },
+    sort_keys=True,
+)
+
+
 class TestCleanErrorSurface:
     def test_table4_unknown_operator_name_exits_cleanly(self):
         with pytest.raises(SystemExit, match="cannot parse adder name"):
@@ -1196,6 +1209,37 @@ class TestCleanErrorSurface:
         )
         with pytest.raises(SystemExit, match="cannot parse adder name"):
             main(["batch", str(path), "--no-cache"])
+
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            (["speculate"], None),
+            (["speculate"], "{not json"),
+            (["speculate"], "[]"),
+            (["speculate"], '{"format_version": 1}'),
+            (["speculate"], EMPTY_DATASET),
+            (["table4", "--no-cache"], "{not json"),
+            (["table4", "--no-cache"], '{"format_version": 1}'),
+        ],
+        ids=[
+            "speculate-missing",
+            "speculate-not-json",
+            "speculate-not-an-object",
+            "speculate-no-fields",
+            "speculate-no-triads",
+            "table4-not-json",
+            "table4-no-fields",
+        ],
+    )
+    def test_bad_dataset_file_exits_with_one_line(self, tmp_path, command, content):
+        path = tmp_path / "dataset.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as info:
+            main([command[0], str(path), *command[1:]])
+        message = str(info.value.code)
+        assert str(path) in message
+        assert "\n" not in message
 
     @pytest.mark.parametrize(
         "command",

@@ -1,10 +1,10 @@
 """Concurrent-client tests: the acceptance criteria of the serving layer.
 
 N parallel clients submitting the same characterization against a cold
-store must collapse into ONE batch window whose planner dedups the
-overlapping work down to a single simulated pass -- and every client must
-receive result JSON byte-identical to a direct ``Session.run`` of the
-same job.
+store must collapse into ONE batch window whose shared session overlay
+dedups the overlapping work down to a single simulated pass -- and every
+client must receive result JSON byte-identical to a direct
+``Session.run`` of the same job.
 """
 
 import asyncio
@@ -65,8 +65,9 @@ class TestOverlappingClients:
         assert all(final["status"] == "done" for final in finals)
 
         # Exactly one simulated pass over the distinct work units: the four
-        # identical jobs shared one admission window, and the batch planner
-        # deduplicated 3 of every 4 planned units.
+        # identical jobs shared one admission window, the first simulated
+        # the grid and the other three replayed it from the session overlay
+        # (3 of every 4 planned units deduplicated).
         assert simulated == units
         for final in finals:
             report = final["batch"]

@@ -12,6 +12,8 @@ import pytest
 
 from repro.api.jobs import job_from_json
 from repro.api.session import Session
+from repro.core.sweep import simulated_unit_count
+from repro.obs import metrics
 from repro.serve import ServeConfig
 from _serve_helpers import (
     http_get,
@@ -245,24 +247,29 @@ class TestDrain:
         run(main())
 
 
+def batch_errors():
+    return metrics.REGISTRY.counter("serve.batch_errors").value
+
+
 class TestFailures:
     def test_job_failure_is_reported_not_fatal(self, tmp_path):
         async def main():
             loop = asyncio.get_running_loop()
+            errors_before = batch_errors()
             async with running_service(tmp_path / "store") as service:
-                # speculate needs a dataset file; a missing one is a
-                # SessionError at execution time, not admission time.
-                job = {
-                    "type": "speculate",
-                    "dataset": str(tmp_path / "missing.json"),
-                    "margin": 0.1,
-                }
+                # speculate needs a dataset file; a missing one passes
+                # admission and fails at execution time as a user error
+                # naming the file, not as an internal error.
+                missing = str(tmp_path / "missing.json")
+                job = {"type": "speculate", "dataset": missing, "margin": 0.1}
                 _, doc, _ = await loop.run_in_executor(
                     None, http_post, service.port, job
                 )
                 final = await wait_terminal(service.port, doc["id"])
                 assert final["status"] == "failed"
-                assert final["error"]
+                assert final["error"].startswith("cannot read dataset file")
+                assert missing in final["error"]
+                assert batch_errors() == errors_before
                 # The service survives: the next job runs fine.
                 _, ok, _ = await loop.run_in_executor(
                     None, http_post, service.port, SYNTH
@@ -270,6 +277,50 @@ class TestFailures:
                 assert (await wait_terminal(service.port, ok["id"]))[
                     "status"
                 ] == "done"
+
+        run(main())
+
+    def test_a_failing_job_does_not_fail_its_window(self, tmp_path):
+        async def main():
+            loop = asyncio.get_running_loop()
+            errors_before = batch_errors()
+            bad = {
+                "type": "speculate",
+                "dataset": str(tmp_path / "missing.json"),
+                "margin": 0.1,
+            }
+            # A wide admission window puts both clients' jobs in one batch.
+            async with running_service(tmp_path / "store", window_s=0.4) as service:
+                before = simulated_unit_count()
+                posts = await asyncio.gather(
+                    loop.run_in_executor(
+                        None, http_post, service.port, CHARACTERIZE, "good"
+                    ),
+                    loop.run_in_executor(None, http_post, service.port, bad, "bad"),
+                )
+                good_final, bad_final = await asyncio.gather(
+                    *(wait_terminal(service.port, doc["id"]) for _, doc, _ in posts)
+                )
+                simulated = simulated_unit_count() - before
+                _, raw = await loop.run_in_executor(
+                    None,
+                    http_get,
+                    service.port,
+                    f"/v1/jobs/{posts[0][1]['id']}/events",
+                    False,
+                )
+            assert "running: dispatched in a window of 2 job(s)" in raw.decode()
+            assert good_final["status"] == "done"
+            assert bad_final["status"] == "failed"
+            assert "missing.json" in bad_final["error"]
+            assert batch_errors() == errors_before
+            # Whichever job the window ran first, the rerun simulates none
+            # of the good job's units a second time.
+            grid = Session(store=None).flow_for("rca8").default_triad_grid()
+            assert simulated == len(grid)
+            expected = Session(store=None).run(job_from_json(CHARACTERIZE)).to_json()
+            expected.pop("run", None)
+            assert good_final["result"] == expected
 
         run(main())
 
